@@ -16,9 +16,11 @@ gone.  The model follows the classic archive-copy + log design:
   device's partitions from the archive device in batched parallel
   streams; Phase B scans the log written since the archive horizon and
   re-applies the updates of pages written since that horizon.  Pages
-  become readable one by one (per-page gating in
-  :class:`~repro.storage.faults.MediaState`), so transactions keep
-  running degraded instead of stalling for the full rebuild.
+  become readable per restored extent, and stale pages one by one as
+  they are redone (gating in :class:`~repro.storage.faults.MediaState`,
+  progress in :class:`~repro.storage.faults.RestoreProgress`), so
+  transactions keep running degraded instead of stalling for the full
+  rebuild.
 * A lost copy of a **mirrored NVEM log** is resilvered from the
   surviving copy; commits keep running on the single survivor in the
   meantime.  Loss of an *unmirrored* log copy (or of both copies, or of
@@ -162,33 +164,34 @@ class MediaRecoverer:
                        stats: MediaRecoveryStats) -> Generator:
         """Archive restore (Phase A) + post-archive log redo (Phase B).
 
-        The pending-redo set is snapshotted at entry: pages written to
-        the device *after* the loss go through the gate's per-page
-        availability check and land on already-restored media.
+        The pending-redo (stale) pages are snapshotted at entry and
+        handed to :meth:`~repro.storage.faults.MediaState.begin_restore`:
+        each finished archive batch publishes its extent minus those
+        pages, which become readable only once Phase B redoes them.  Pages
+        written to the device *after* the loss go through the gate's
+        per-page availability check and land on already-restored media.
         """
         system = self.system
         state = system.storage.media_state
         tracker = system.storage.media_tracker
         cfg = system.config.media
-        restored = state.begin_restore(device)
         # Pages whose archive copy is stale: they restore last, from the
         # log, after their base images come back from the archive.
-        pending = set(tracker.written_for(device))
+        pending = sorted(tracker.written_for(device))
         scan_from = tracker.archive_lsn
+        state.begin_restore(device, pending)
 
         # Phase A: batched parallel restore from the archive device.
         phase_start = self.env.now
         batches = self._batches(device, cfg.archive_batch_pages)
         yield from self._run_restore_workers(
-            device, batches, pending, restored, stats,
-            max(1, cfg.archive_workers))
+            device, batches, stats, max(1, cfg.archive_workers))
         stats.restore_time = self.env.now - phase_start
 
         # Phase B: scan the log since the archive horizon, then re-apply
         # the stale pages in deterministic order.
         phase_start = self.env.now
-        yield from self._redo_from_log(device, scan_from, sorted(pending),
-                                       stats)
+        yield from self._redo_from_log(device, scan_from, pending, stats)
         stats.redo_time = self.env.now - phase_start
 
         state.finish_restore(device)
@@ -213,8 +216,8 @@ class MediaRecoverer:
                                 min(first + batch_pages, pages)))
         return batches
 
-    def _run_restore_workers(self, device: str, batches, pending,
-                             restored, stats, workers: int) -> Generator:
+    def _run_restore_workers(self, device: str, batches, stats,
+                             workers: int) -> Generator:
         """Phase A engine: ``workers`` concurrent streams drain the batch
         list (archive read -> device write per batch)."""
         if not batches:
@@ -236,10 +239,8 @@ class MediaRecoverer:
                 yield from self._cpu(cm.instr_io)
                 yield from archive.read((pidx, first))
                 yield from self._write_restored(device, (pidx, first))
-                keys = [(pidx, page) for page in range(first, stop)]
-                restored.update(
-                    key for key in keys if key not in pending)
-                system.storage.media_state.bump()
+                system.storage.media_state.extent_restored(
+                    device, pidx, first, stop)
                 stats.restore_pages += stop - first
                 stats.restore_batches += 1
                 system.metrics.record_io("media_restore_read")

@@ -11,6 +11,8 @@ Two deterministic fault kinds are scheduled per device through
   per page until the :class:`~repro.recovery.media.MediaRecoverer`
   rebuilds that page from the archive copy (plus a log scan for pages
   written since the archive horizon) through the real device registry.
+  Restore progress is kept per restored extent
+  (:class:`RestoreProgress`).
 
 The gates are installed by :class:`~repro.storage.hierarchy.
 StorageSubsystem` **only around devices named in the fault schedule**;
@@ -22,7 +24,9 @@ without the subsystem (property-tested).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Hashable, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import (Dict, Generator, Hashable, Iterable, List, Optional,
+                    Set, Tuple)
 
 from repro.core.config import MediaConfig
 from repro.sim import Environment
@@ -34,12 +38,87 @@ __all__ = [
     "MediaState",
     "MediaUnrecoverableError",
     "NVEMFaultGate",
+    "RestoreProgress",
 ]
 
 
 class MediaUnrecoverableError(RuntimeError):
     """Media loss that no surviving copy can repair (e.g. an unmirrored
     log copy, or both copies of a mirrored log)."""
+
+
+class RestoreProgress:
+    """Which pages of a device under rebuild are readable again.
+
+    Phase A of a rebuild restores whole archive extents; Phase B then
+    redoes the *stale* pages (written since the archive horizon) one by
+    one.  Progress is held in that shape instead of as one entry per
+    page:
+
+    * ``_extents`` — per partition, the sorted, disjoint, coalesced
+      ``[first, stop)`` page ranges restored so far (Phase A);
+    * ``stale`` — the pages snapshotted as stale at rebuild start and
+      not yet redone; an extent restore does not publish them, their
+      archive image is out of date;
+    * ``republished`` — keys published one by one (Phase B redo or
+      :meth:`MediaState.page_restored`) that no restored extent covers.
+
+    Page keys are ``(partition index, page)`` tuples; ``None`` (the NVEM
+    gate's key-less access) is never covered by an extent, so it stays
+    blocked until the rebuild finishes.
+    """
+
+    __slots__ = ("stale", "republished", "_extents")
+
+    def __init__(self, stale: Iterable[Hashable] = ()):
+        self.stale: Set[Hashable] = set(stale)
+        self.republished: Set[Hashable] = set()
+        #: partition -> ([first, ...], [stop, ...]) of restored extents
+        self._extents: Dict[int, Tuple[List[int], List[int]]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        if key in self.republished:
+            return True
+        if key is None or key in self.stale:
+            return False
+        partition, page = key
+        extents = self._extents.get(partition)
+        if extents is None:
+            return False
+        firsts, stops = extents
+        index = bisect_right(firsts, page) - 1
+        return index >= 0 and page < stops[index]
+
+    def add(self, key: Hashable) -> None:
+        """Publish one key (a redone stale page)."""
+        self.stale.discard(key)
+        if key not in self:
+            self.republished.add(key)
+
+    def add_extent(self, partition: int, first: int, stop: int) -> None:
+        """Publish pages ``[first, stop)`` of ``partition`` (stale pages
+        excepted), merging with any touching restored extent."""
+        extents = self._extents.get(partition)
+        if extents is None:
+            extents = self._extents[partition] = ([], [])
+        firsts, stops = extents
+        # Extents overlapping or adjacent to [first, stop) occupy the
+        # index range [lo, hi): they end at/after ``first`` and start
+        # at/before ``stop``.
+        lo = bisect_left(stops, first)
+        hi = bisect_right(firsts, stop)
+        if lo < hi:
+            first = min(first, firsts[lo])
+            stop = max(stop, stops[hi - 1])
+        firsts[lo:hi] = [first]
+        stops[lo:hi] = [stop]
+
+    def entries(self) -> int:
+        """Stored entries: extents + stale keys + republished keys.  The
+        footprint: at most one per archive batch plus one per stale
+        page, whatever the device's page count."""
+        return (sum(len(firsts) for firsts, _ in self._extents.values())
+                + len(self.stale) + len(self.republished))
 
 
 class MediaState:
@@ -70,8 +149,8 @@ class MediaState:
         self.lost: Set[str] = set()
         #: lost log copies of a mirrored NVEM log (0 = primary, 1 = mirror)
         self.lost_log_copies: Set[int] = set()
-        #: device -> keys already brought current by an in-flight rebuild
-        self.restoring: Dict[str, Set[Hashable]] = {}
+        #: device -> progress of its in-flight rebuild
+        self.restoring: Dict[str, RestoreProgress] = {}
         #: retry counters (total and per device)
         self.io_retries = 0
         self.retries_by_device: Dict[str, int] = {}
@@ -113,10 +192,18 @@ class MediaState:
     def mark_lost(self, device: str) -> None:
         self.lost.add(device)
 
-    def begin_restore(self, device: str) -> Set[Hashable]:
-        restored: Set[Hashable] = set()
-        self.restoring[device] = restored
-        return restored
+    def begin_restore(self, device: str,
+                      stale: Iterable[Hashable] = ()) -> RestoreProgress:
+        """Start tracking a rebuild; ``stale`` pages stay blocked through
+        extent restores until each is republished by itself."""
+        progress = RestoreProgress(stale)
+        self.restoring[device] = progress
+        return progress
+
+    def extent_restored(self, device: str, partition: int, first: int,
+                        stop: int) -> None:
+        self.restoring[device].add_extent(partition, first, stop)
+        self.bump()
 
     def page_restored(self, device: str, key: Hashable) -> None:
         self.restoring[device].add(key)
