@@ -69,11 +69,9 @@ REFERENCE = {
 #: itself slowed down, so the gate is deliberately tight.
 TOLERANCE_OVERRIDES: Dict[str, float] = {
     "event_chain": 0.15,
-    # Seconds-long and capped at 2 repeats, so min-of-N smooths less of
-    # the shared-runner noise than for the millisecond benchmarks.
-    "media_redo": 0.60,
-    # Three back-to-back 1 s end-to-end runs per repetition; the same
-    # shared-runner noise argument applies.
+    # Three back-to-back 1 s end-to-end runs per repetition, so
+    # min-of-N smooths less of the shared-runner noise than for the
+    # millisecond benchmarks.
     "trace_overhead": 0.60,
 }
 
@@ -82,7 +80,7 @@ TOLERANCE_OVERRIDES: Dict[str, float] = {
 #: (the end-to-end sweep), so the suite stays CI-friendly.
 BENCHMARKS: List[Tuple[str, Callable[[], int], str, Optional[int]]] = [
     (name, fn, desc,
-     2 if name in ("fig4_1_fast_sweep", "media_redo") else None)
+     2 if name == "fig4_1_fast_sweep" else None)
     for name, (fn, desc) in WORKLOADS.items()
 ]
 

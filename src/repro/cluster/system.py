@@ -138,6 +138,11 @@ class ClusterSystem:
     def register_pieces(self, tx, pieces: List[RemotePiece]) -> None:
         self._pending[tx.tx_id] = (tx.home_node, pieces)
 
+    def pending_pieces(self, tx) -> List[RemotePiece]:
+        """The registered remote pieces of ``tx`` (none if local)."""
+        entry = self._pending.get(tx.tx_id)
+        return entry[1] if entry is not None else []
+
     def clear_pieces(self, tx) -> None:
         self._pending.pop(tx.tx_id, None)
         self.decisions.pop(tx.tx_id, None)

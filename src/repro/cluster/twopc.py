@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Sequence, Tuple
 
-from repro.core.cc import LockMode, LockOutcome
-from repro.core.config import CCMode
 from repro.core.tm import TransactionManager
 from repro.core.transaction import ObjectRef, Transaction
 from repro.sim import Event
@@ -129,8 +127,7 @@ class ClusterTransactionManager(TransactionManager):
         env = self.env
         btx = piece.branch_tx
         # Participant spans are diagnostic details keyed by the branch
-        # id (piece.work / piece.prepare / piece.indoubt); inline
-        # checks are fine off the single-node hot path.
+        # id (piece.work / piece.prepare / piece.indoubt).
         traced = btx.traced and self.tracer is not None
         try:
             gate = self._offline_gate
@@ -140,24 +137,13 @@ class ClusterTransactionManager(TransactionManager):
                 yield gate
             btx.start_time = env.now
             work_from = env.now
-            for ref in piece.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        btx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        self.locks.release_all(btx)
-                        if not piece.work_done.triggered:
-                            piece.work_done.succeed("failed")
-                        return
-                burst = self.cpu.execute_event(btx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                if self.bm.fix_page_fast(btx, ref) is None:
-                    yield from self.bm.fix_page_miss(btx, ref)
+            # The shared per-reference step, untraced: the piece's own
+            # work is the piece.work detail span below.
+            if not (yield from self._references(btx, piece.refs, False)):
+                self.locks.release_all(btx)
+                if not piece.work_done.triggered:
+                    piece.work_done.succeed("failed")
+                return
             if not piece.work_done.triggered:
                 piece.work_done.succeed("ok")
             if traced and env.now > work_from:
@@ -205,165 +191,93 @@ class ClusterTransactionManager(TransactionManager):
             if not piece.vote.triggered:
                 piece.vote.succeed("no")
 
-    # -- coordinator side ------------------------------------------------
-    def _execute(self, tx: Transaction) -> Generator:
+    # -- coordinator side (hooks of the shared lifecycle) ------------------
+    def _remote_work(self, tx: Transaction, traced: bool) -> Generator:
+        """Ship each remote piece to its participant and await its work.
+
+        Runs before any home lock is taken (the cross-node
+        deadlock-avoidance order, see module docstring)."""
+        remote_work = getattr(tx, "remote_work", ())
+        if not remote_work:
+            return True
         cluster = self.cluster
         env = self.env
-        remote_work = getattr(tx, "remote_work", ())
-        # Tracing here is inline (no duplicated twin): the cluster path
-        # already pays message/protocol machinery per transaction, so a
-        # handful of predictable branches is inside the kernel
-        # benchmark's noise — unlike the single-node hot loop.
-        traced = tx.traced and self.tracer is not None
-        while True:
-            tx.start_time = env.now
-            t0 = env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
-            if burst is not None:
-                yield burst
-                if traced and env.now > t0:
-                    self.tracer.span("cpu.bot", tx.tx_id, t0, env.now)
-            aborted = False
-            pieces: List[RemotePiece] = []
-            if remote_work:
-                work_from = env.now
-                for node_id, refs in remote_work:
-                    branch = Transaction(cluster.next_branch_id(),
-                                         tx.tx_type, list(refs))
-                    branch.traced = tx.traced
-                    pieces.append(RemotePiece(env, node_id, refs, branch))
-                # Registered before the first message: a coordinator
-                # crash at any later instant leaves the pieces for the
-                # GEM failover to resolve.
-                cluster.register_pieces(tx, pieces)
-                for piece in pieces:
-                    remote = cluster.nodes[piece.node_id]
-                    yield from cluster.bus.one_way(
-                        tx, self.cpu, remote.cpu, kind="2pc_work")
-                    remote.tm.spawn_piece(tx, piece)
-                # Remote work completes before any home lock is taken
-                # (the cross-node deadlock-avoidance order, see module
-                # docstring).
-                for piece in pieces:
-                    status = yield piece.work_done
-                    if status != "ok":
-                        aborted = True
-                if traced and env.now > work_from:
-                    self.tracer.span("2pc.work", tx.tx_id, work_from,
-                                     env.now)
-            if not aborted:
-                for ref in tx.refs:
-                    part = self.partitions[ref.partition_index]
-                    if part.cc_mode is not CCMode.NONE:
-                        mode = LockMode.X if ref.is_write else LockMode.S
-                        outcome = yield from self.locks.acquire(
-                            tx, self._lock_id(ref.partition_index, part,
-                                              ref),
-                            mode,
-                        )
-                        if outcome is LockOutcome.DEADLOCK:
-                            aborted = True
-                            break
-                    t0 = env.now
-                    burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                    if burst is not None:
-                        yield burst
-                        if traced and env.now > t0:
-                            self.tracer.span("cpu.ref", tx.tx_id, t0,
-                                             env.now)
-                    if self.bm.fix_page_fast(tx, ref) is None:
-                        t0 = env.now
-                        yield from self.bm.fix_page_miss(tx, ref)
-                        if traced and env.now > t0:
-                            self.tracer.span("fix", tx.tx_id, t0, env.now)
-            if not aborted:
-                t0 = env.now
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                    if traced and env.now > t0:
-                        self.tracer.span("cpu.eot", tx.tx_id, t0, env.now)
-                commit_from = env.now
-                if pieces:
-                    # Phase 1: PREPARE every participant, collect votes.
-                    for piece in pieces:
-                        remote = cluster.nodes[piece.node_id]
-                        yield from cluster.bus.one_way(
-                            tx, self.cpu, remote.cpu, kind="2pc_prepare")
-                        if not piece.prepare_req.triggered:
-                            piece.prepare_req.succeed()
-                    votes = []
-                    for piece in pieces:
-                        votes.append((yield piece.vote))
-                    if traced and env.now > commit_from:
-                        self.tracer.span("2pc.prepare", tx.tx_id,
-                                         commit_from, env.now)
-                    if all(vote == "yes" for vote in votes):
-                        # Phase 2: force the decision record through
-                        # the home log device, mirror it into GEM,
-                        # then notify the participants.
-                        t0 = env.now
-                        yield from self.bm.commit(tx)
-                        if traced and env.now > t0:
-                            self.tracer.span("2pc.decision", tx.tx_id,
-                                             t0, env.now)
-                        cluster.record_decision(tx.tx_id)
-                        t0 = env.now
-                        for piece in pieces:
-                            remote = cluster.nodes[piece.node_id]
-                            yield from cluster.bus.one_way(
-                                tx, self.cpu, remote.cpu,
-                                kind="2pc_commit")
-                            if not piece.decision.triggered:
-                                piece.decision.succeed("commit")
-                        if traced and env.now > t0:
-                            self.tracer.span("2pc.notify", tx.tx_id,
-                                             t0, env.now)
-                        cluster.clear_pieces(tx)
-                        self.locks.release_all(tx)
-                        self.metrics.record_commit(
-                            tx, env.now - tx.arrival_time)
-                        self.metrics.record_cluster_commit(
-                            True, env.now - commit_from)
-                        if traced:
-                            self.tracer.span("tx", tx.tx_id,
-                                             tx.arrival_time, env.now)
-                        return
-                    aborted = True
-                else:
-                    # Local transaction: plain 1PC commit, but the
-                    # commit phase is still measured for the
-                    # 1PC-vs-2PC ablation.
-                    yield from self.bm.commit(tx)
-                    if traced and env.now > commit_from:
-                        self.tracer.span("commit", tx.tx_id,
-                                         commit_from, env.now)
-                    self.locks.release_all(tx)
-                    self.metrics.record_commit(
-                        tx, env.now - tx.arrival_time)
-                    self.metrics.record_cluster_commit(
-                        False, env.now - commit_from)
-                    if traced:
-                        self.tracer.span("tx", tx.tx_id,
-                                         tx.arrival_time, env.now)
-                    return
-            # Abort: presumed abort needs no abort record — just tell
-            # the live participants, back out, and retry with the same
-            # reference string (access invariance, as in the base TM).
-            for piece in pieces:
-                if not piece.decision.triggered:
-                    piece.decision.succeed("abort")
-            cluster.clear_pieces(tx)
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx)
-            tx.reset_for_restart()
-            if self.streams is not None:
-                backoff = self.streams.exponential(
-                    "restart-backoff", 0.002 * min(tx.restarts, 5)
-                )
-                if backoff > 0:
-                    t0 = env.now
-                    yield env.timeout(backoff)
-                    if traced:
-                        self.tracer.span("backoff", tx.tx_id, t0,
-                                         env.now)
+        work_from = env.now
+        pieces: List[RemotePiece] = []
+        for node_id, refs in remote_work:
+            branch = Transaction(cluster.next_branch_id(), tx.tx_type,
+                                 list(refs))
+            branch.traced = tx.traced
+            pieces.append(RemotePiece(env, node_id, refs, branch))
+        # Registered before the first message: a coordinator crash at
+        # any later instant leaves the pieces for the GEM failover to
+        # resolve.
+        cluster.register_pieces(tx, pieces)
+        for piece in pieces:
+            remote = cluster.nodes[piece.node_id]
+            yield from cluster.bus.one_way(
+                tx, self.cpu, remote.cpu, kind="2pc_work")
+            remote.tm.spawn_piece(tx, piece)
+        ok = True
+        for piece in pieces:
+            status = yield piece.work_done
+            if status != "ok":
+                ok = False
+        if traced and env.now > work_from:
+            self.tracer.span("2pc.work", tx.tx_id, work_from, env.now)
+        return ok
+
+    def _commit(self, tx: Transaction, traced: bool) -> Generator:
+        """1PC for a local transaction, presumed-abort 2PC otherwise.
+
+        The commit phase (EOT to lock release) is measured either way
+        for the 1PC-vs-2PC ablation."""
+        cluster = self.cluster
+        env = self.env
+        pieces = cluster.pending_pieces(tx)
+        commit_from = env.now
+        if not pieces:
+            yield from super()._commit(tx, traced)
+            self.metrics.record_cluster_commit(False, env.now - commit_from)
+            return True
+        # Phase 1: PREPARE every participant, collect votes.
+        for piece in pieces:
+            remote = cluster.nodes[piece.node_id]
+            yield from cluster.bus.one_way(
+                tx, self.cpu, remote.cpu, kind="2pc_prepare")
+            if not piece.prepare_req.triggered:
+                piece.prepare_req.succeed()
+        votes = []
+        for piece in pieces:
+            votes.append((yield piece.vote))
+        if traced and env.now > commit_from:
+            self.tracer.span("2pc.prepare", tx.tx_id, commit_from, env.now)
+        if not all(vote == "yes" for vote in votes):
+            return False
+        # Phase 2: force the decision record through the home log
+        # device, mirror it into GEM, then notify the participants.
+        t0 = env.now
+        yield from self.bm.commit(tx)
+        if traced and env.now > t0:
+            self.tracer.span("2pc.decision", tx.tx_id, t0, env.now)
+        cluster.record_decision(tx.tx_id)
+        t0 = env.now
+        for piece in pieces:
+            remote = cluster.nodes[piece.node_id]
+            yield from cluster.bus.one_way(
+                tx, self.cpu, remote.cpu, kind="2pc_commit")
+            if not piece.decision.triggered:
+                piece.decision.succeed("commit")
+        if traced and env.now > t0:
+            self.tracer.span("2pc.notify", tx.tx_id, t0, env.now)
+        cluster.clear_pieces(tx)
+        self.metrics.record_cluster_commit(True, env.now - commit_from)
+        return True
+
+    def _abort(self, tx: Transaction) -> None:
+        """Presumed abort needs no abort record: just tell the live
+        participants before the home locks are released."""
+        for piece in self.cluster.pending_pieces(tx):
+            if not piece.decision.triggered:
+                piece.decision.succeed("abort")
+        self.cluster.clear_pieces(tx)

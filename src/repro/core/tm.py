@@ -10,9 +10,13 @@ manager writes log data and — under FORCE — forces modified pages;
 (2) locks are released.
 
 A transaction denied by deadlock detection aborts, releases its locks
-and restarts immediately with the *same* reference string (access
-invariance [FRT90]); its response time keeps accumulating across
-restarts.
+and restarts after a short randomized backoff with the *same* reference
+string (access invariance [FRT90]); its response time keeps
+accumulating across restarts.
+
+:meth:`TransactionManager._execute` is the only lifecycle loop.  The
+multi-node TMs (shared-disk data sharing, the 2PC cluster) override its
+hooks — remote work, commit protocol, abort notice — not the loop.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ class TransactionManager:
         self.streams = streams
         self.partitions: List[PartitionConfig] = list(config.partitions)
         #: Span sink (:class:`repro.trace.Tracer`) when the run enabled
-        #: tracing; ``None`` keeps the hot path free of per-event
-        #: branching (the traced twin of ``_execute`` is selected once
-        #: per transaction).
+        #: tracing, else ``None``.  The lifecycle reads it once per
+        #: transaction into a local ``traced`` flag; untraced, each
+        #: phase costs one test of that flag and no tracer call.
         self.tracer = None
         self.mpl_slots = Resource(env, self.cm.mpl, name="mpl")
         self.active = 0
@@ -184,126 +188,57 @@ class TransactionManager:
         return (part_index, 1, ref.object_no)
 
     def _execute(self, tx: Transaction) -> Generator:
-        if tx.traced and self.tracer is not None:
-            # One dispatch per transaction; the untraced loop below
-            # stays exactly as it always was (zero-overhead invariant).
-            yield from self._execute_traced(tx)
-            return
-        while True:
-            tx.start_time = self.env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
-            if burst is not None:
-                yield burst
-            aborted = False
-            for ref in tx.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        tx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        aborted = True
-                        break
-                burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                # Hot path: a buffer hit costs no simulated time, so it
-                # is a plain call — only misses enter the generator.
-                if self.bm.fix_page_fast(tx, ref) is None:
-                    yield from self.bm.fix_page_miss(tx, ref)
-            if not aborted:
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                # Commit phase 1: log + (FORCE) forced page writes.
-                yield from self.bm.commit(tx)
-                # Commit phase 2: release locks.
-                self.locks.release_all(tx)
-                self.metrics.record_commit(
-                    tx, self.env.now - tx.arrival_time
-                )
-                return
-            # Deadlock abort: back out and retry with the same
-            # reference string.  A small randomized backoff breaks the
-            # livelock where two transactions keep re-colliding in
-            # lockstep (the paper is silent on restart timing).
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx)
-            tx.reset_for_restart()
-            if self.streams is not None:
-                backoff = self.streams.exponential(
-                    "restart-backoff", 0.002 * min(tx.restarts, 5)
-                )
-                if backoff > 0:
-                    yield self.env.timeout(backoff)
+        """The transaction lifecycle, from BOT to commit or restart.
 
-    def _execute_traced(self, tx: Transaction) -> Generator:
-        """Span-emitting twin of :meth:`_execute` — keep in lockstep.
+        BOT CPU, the remote-work hook, the per-reference step for every
+        reference, EOT CPU, the commit-protocol hook, then lock release.
+        Subclasses change how work and commit reach other nodes by
+        overriding the hooks (:meth:`_remote_work`, :meth:`_commit`,
+        :meth:`_abort`), never this loop.
 
-        Duplicated rather than branched-per-event so enabling tracing
-        cannot slow the untraced path.  Every time-advancing segment is
-        wrapped in exactly one phase span ("cpu.bot", "lock" — emitted
-        by the lock manager —, "cpu.ref", "fix", "cpu.eot", "commit",
-        "backoff"), and the input queue is covered by the lifecycle's
-        "queue" span, so for a committed transaction the phase spans
-        tile the whole arrival-to-commit interval: the attribution
-        table sums to the measured response time by construction.
-        Span names are the literals from
-        :data:`repro.trace.tracer.PHASE_SPANS` (no import: core must
-        not depend on the observability package).
+        A traced transaction also emits one phase span per
+        time-advancing segment ("cpu.bot", "lock" — emitted by the lock
+        manager —, "cpu.ref", "fix", "cpu.eot", the commit hook's
+        spans, "backoff"); with the lifecycle's "queue" span they tile
+        the whole arrival-to-commit interval, so the attribution table
+        sums to the measured response time.  Span names are the
+        literals from :data:`repro.trace.tracer.PHASE_SPANS` (no import:
+        core must not depend on the observability package).
         """
-        tracer = self.tracer
         env = self.env
+        tracer = self.tracer
+        traced = tx.traced and tracer is not None
         while True:
             tx.start_time = env.now
             t0 = env.now
             burst = self.cpu.execute_event(tx, self.cm.instr_bot)
             if burst is not None:
                 yield burst
-                if env.now > t0:
+                if traced and env.now > t0:
                     tracer.span("cpu.bot", tx.tx_id, t0, env.now)
-            aborted = False
-            for ref in tx.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        tx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        aborted = True
-                        break
-                t0 = env.now
-                burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                    if env.now > t0:
-                        tracer.span("cpu.ref", tx.tx_id, t0, env.now)
-                if self.bm.fix_page_fast(tx, ref) is None:
-                    t0 = env.now
-                    yield from self.bm.fix_page_miss(tx, ref)
-                    if env.now > t0:
-                        tracer.span("fix", tx.tx_id, t0, env.now)
-            if not aborted:
+            if (yield from self._remote_work(tx, traced)) and \
+                    (yield from self._references(tx, tx.refs, traced)):
                 t0 = env.now
                 burst = self.cpu.execute_event(tx, self.cm.instr_eot)
                 if burst is not None:
                     yield burst
-                    if env.now > t0:
+                    if traced and env.now > t0:
                         tracer.span("cpu.eot", tx.tx_id, t0, env.now)
-                t0 = env.now
-                yield from self.bm.commit(tx)
-                if env.now > t0:
-                    tracer.span("commit", tx.tx_id, t0, env.now)
-                self.locks.release_all(tx)
-                self.metrics.record_commit(
-                    tx, self.env.now - tx.arrival_time
-                )
-                tracer.span("tx", tx.tx_id, tx.arrival_time, env.now)
-                return
+                if (yield from self._commit(tx, traced)):
+                    # Commit phase 2: release locks.
+                    self.locks.release_all(tx)
+                    self.metrics.record_commit(
+                        tx, env.now - tx.arrival_time
+                    )
+                    if traced:
+                        tracer.span("tx", tx.tx_id, tx.arrival_time,
+                                    env.now)
+                    return
+            # Abort: back out and retry with the same reference string.
+            # A small randomized backoff breaks the livelock where two
+            # transactions keep re-colliding in lockstep (the paper is
+            # silent on restart timing).
+            self._abort(tx)
             self.locks.release_all(tx)
             self.metrics.record_abort(tx)
             tx.reset_for_restart()
@@ -313,5 +248,63 @@ class TransactionManager:
                 )
                 if backoff > 0:
                     t0 = env.now
-                    yield self.env.timeout(backoff)
-                    tracer.span("backoff", tx.tx_id, t0, env.now)
+                    yield env.timeout(backoff)
+                    if traced:
+                        tracer.span("backoff", tx.tx_id, t0, env.now)
+
+    def _references(self, tx: Transaction, refs, traced: bool) -> Generator:
+        """The per-reference step for each of ``refs``: lock, CPU, fix.
+
+        Returns False as soon as deadlock detection denies a lock (the
+        caller aborts ``tx``), True once every reference is fixed.
+        """
+        env = self.env
+        for ref in refs:
+            part = self.partitions[ref.partition_index]
+            if part.cc_mode is not CCMode.NONE:
+                mode = LockMode.X if ref.is_write else LockMode.S
+                outcome = yield from self.locks.acquire(
+                    tx, self._lock_id(ref.partition_index, part, ref), mode,
+                )
+                if outcome is LockOutcome.DEADLOCK:
+                    return False
+            t0 = env.now
+            burst = self.cpu.execute_event(tx, self.cm.instr_or)
+            if burst is not None:
+                yield burst
+                if traced and env.now > t0:
+                    self.tracer.span("cpu.ref", tx.tx_id, t0, env.now)
+            # Hot path: a buffer hit costs no simulated time, so it is a
+            # plain call — only misses enter the generator.
+            if self.bm.fix_page_fast(tx, ref) is None:
+                t0 = env.now
+                yield from self.bm.fix_page_miss(tx, ref)
+                if traced and env.now > t0:
+                    self.tracer.span("fix", tx.tx_id, t0, env.now)
+        return True
+
+    # -- lifecycle hooks ------------------------------------------------
+    def _remote_work(self, tx: Transaction, traced: bool) -> Generator:
+        """Hook run after BOT, before any local lock: work on other nodes.
+
+        Returns False when that work failed and ``tx`` must abort.  A
+        single node has none.
+        """
+        return True
+        yield  # unreachable: makes this hook a generator like overrides
+
+    def _commit(self, tx: Transaction, traced: bool) -> Generator:
+        """Commit-protocol hook, run after EOT with every lock held.
+
+        Returns True once ``tx`` is committed, False when the protocol
+        decided to abort it.  Here: commit phase 1 — the buffer manager
+        writes the log and, under FORCE, the modified pages.
+        """
+        t0 = self.env.now
+        yield from self.bm.commit(tx)
+        if traced and self.env.now > t0:
+            self.tracer.span("commit", tx.tx_id, t0, self.env.now)
+        return True
+
+    def _abort(self, tx: Transaction) -> None:
+        """Hook run on abort before the locks are released."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from repro.core.bm import BufferManager
-from repro.core.cc import LockManager, LockMode, LockOutcome
+from repro.core.cc import LockManager, LockMode
 from repro.core.config import SystemConfig
 from repro.core.cpu import CPUPool
 from repro.core.metrics import (
@@ -240,52 +240,15 @@ class _DistributedTM(TransactionManager):
         self.node_id = node_id
         self.system = system
 
-    def _execute(self, tx: Transaction) -> Generator:
-        # Identical control flow to the central TM, plus commit-time
-        # GEM propagation and the invalidation broadcast (phase 1.5).
-        from repro.core.config import CCMode
-
-        while True:
-            tx.start_time = self.env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
-            if burst is not None:
-                yield burst
-            aborted = False
-            for ref in tx.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        tx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        aborted = True
-                        break
-                burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                # Hot path: buffer hits complete synchronously (see the
-                # central TM); only misses enter the generator.
-                if self.bm.fix_page_fast(tx, ref) is None:
-                    yield from self.bm.fix_page_miss(tx, ref)
-            if not aborted:
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                yield from self.bm.commit(tx)
-                yield from self.bm.propagate_commit(tx)
-                if tx.modified_pages:
-                    yield from self.system.broadcast_invalidation(
-                        tx, self.node_id
-                    )
-                self.locks.release_all(tx)
-                self.metrics.record_commit(tx,
-                                           self.env.now - tx.arrival_time)
-                return
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx)
-            tx.reset_for_restart()
+    def _commit(self, tx: Transaction, traced: bool) -> Generator:
+        """Commit phase 1, then GEM propagation and the invalidation
+        broadcast (phase 1.5) before the shared loop releases locks.
+        The shared-disk system never enables tracing: no span."""
+        yield from self.bm.commit(tx)
+        yield from self.bm.propagate_commit(tx)
+        if tx.modified_pages:
+            yield from self.system.broadcast_invalidation(tx, self.node_id)
+        return True
 
 
 class _Router:

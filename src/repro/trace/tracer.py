@@ -4,9 +4,10 @@ A *span* is one timed interval of a transaction's life —
 ``(name, tx_id, node, t0, t1, attrs)`` in simulation seconds.  The
 instrumented components (TM lifecycle, lock manager, buffer manager,
 2PC state machines, restart/media replay) each hold a ``tracer``
-attribute that is ``None`` unless the run enabled tracing, so the
-disabled path costs one attribute test per *transaction* (never per
-event) and the kernel in ``sim/core.py`` is untouched.
+attribute that is ``None`` unless the run enabled tracing.  The TM
+lifecycle reads it once per transaction into a local flag and tests
+that flag at each phase boundary, so the disabled path never calls
+into the tracer, and the kernel in ``sim/core.py`` is untouched.
 
 Span names come in two layers:
 

@@ -12,6 +12,7 @@ from repro.distributed import (
 from repro.core.config import NVEMConfig
 from repro.core.cpu import CPUPool
 from repro.core.config import CMConfig
+from repro.core.transaction import ObjectRef, Transaction
 from repro.experiments.defaults import debit_credit_config, disk_only
 from repro.sim import Environment, RandomStreams
 from repro.storage.nvem import NVEMDevice
@@ -222,3 +223,49 @@ class TestDistributedSystem:
         # The lifetime counters really are larger (warmup committed
         # something), so the delta is doing actual work here.
         assert sum(n.tm.completed for n in system.nodes) > results.committed
+
+
+class TestDeadlockRestart:
+    def test_victim_draws_backoff_and_waits_before_retry(self):
+        """Node TMs run the shared lifecycle, restart backoff included:
+        the deadlock victim draws from the ``restart-backoff`` stream
+        and its retry begins exactly that long after the abort."""
+        config = debit_credit_config(disk_only())
+        system = DistributedSystem(config, DistributedConfig(num_nodes=2),
+                                   workload=None, seed=3)
+        env = system.env
+        draws = []
+        exponential = system.streams.exponential
+
+        def spy_exponential(name, mean):
+            value = exponential(name, mean)
+            draws.append((name, mean, value))
+            return value
+
+        system.streams.exponential = spy_exponential
+        aborts = []
+        record_abort = system.metrics.record_abort
+
+        def spy_abort(tx, restarted=True):
+            aborts.append((tx.tx_id, env.now))
+            record_abort(tx, restarted)
+
+        system.metrics.record_abort = spy_abort
+        # Opposite lock orders on two ACCOUNT pages, one transaction per
+        # node (round-robin routing): a guaranteed deadlock.
+        a, b = ObjectRef(0, 10, 1, True), ObjectRef(0, 20, 2, True)
+        txs = [Transaction(1, "t", [a, b]), Transaction(2, "t", [b, a])]
+        for tx in txs:
+            system.tm.submit(tx)
+        env.run(until=10.0)
+
+        assert system.metrics.committed == 2
+        assert len(aborts) == 1
+        victim_id, aborted_at = aborts[0]
+        victim = txs[victim_id - 1]
+        assert victim.restarts == 1
+        backoffs = [d for d in draws if d[0] == "restart-backoff"]
+        assert len(backoffs) == 1
+        _, mean, delay = backoffs[0]
+        assert mean == pytest.approx(0.002) and delay > 0
+        assert victim.start_time == pytest.approx(aborted_at + delay)
