@@ -23,7 +23,6 @@ in its Results (nodes, $ cost, 2PC counters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
@@ -31,23 +30,15 @@ from repro.cluster.cost import cluster_cost
 from repro.cluster.faults import ClusterFaultInjector
 from repro.cluster.node import ClusterNode
 from repro.cluster.partition import PartitionMap
-from repro.cluster.runloop import measured_run
 from repro.cluster.twopc import RemotePiece
 from repro.core.metrics import MetricsCollector, Results
+from repro.core.model import measured_run
 from repro.core.transaction import Transaction
 from repro.distributed.messages import MessageBus
+from repro.distributed.system import NodeResults
 from repro.sim import Environment, RandomStreams
 
-__all__ = ["ClusterNodeResults", "ClusterRouter", "ClusterSystem"]
-
-
-@dataclass
-class ClusterNodeResults:
-    """One node's share of the measurement window (committed only)."""
-
-    node_id: int
-    committed: int
-    cpu_utilization: float
+__all__ = ["ClusterRouter", "ClusterSystem"]
 
 
 class ClusterRouter:
@@ -209,12 +200,12 @@ class ClusterSystem:
             device_utilization=devices,
         )
 
-    def node_results(self) -> List[ClusterNodeResults]:
+    def node_results(self) -> List[NodeResults]:
         """Per-node committed counts for the measurement window only
         (deltas against the post-warm-up baseline, matching the
         committed-only rule of the shared metrics)."""
         return [
-            ClusterNodeResults(
+            NodeResults(
                 node_id=node.node_id,
                 committed=node.tm.completed -
                 self._node_completed_base[node.node_id],

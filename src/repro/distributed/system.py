@@ -38,6 +38,7 @@ from repro.core.metrics import (
     MetricsCollector,
     Results,
 )
+from repro.core.model import measured_run
 from repro.core.tm import TransactionManager
 from repro.core.transaction import Transaction
 from repro.distributed.gem import GlobalExtendedMemory
@@ -77,7 +78,7 @@ class DistributedConfig:
 
 @dataclass
 class NodeResults:
-    """Per-node share of the run."""
+    """One node's share of the measurement window (committed only)."""
 
     node_id: int
     committed: int
@@ -362,10 +363,6 @@ class DistributedSystem:
 
     def run(self, warmup: float = 5.0, duration: float = 30.0,
             saturation_queue_limit: Optional[int] = None) -> Results:
-        # Imported lazily: repro.cluster builds on the distributed
-        # message layer, so a top-level import would be circular.
-        from repro.cluster.runloop import measured_run
-
         return measured_run(
             self, warmup, duration, saturation_queue_limit,
             default_queue_limit=4 * self.config.cm.mpl,

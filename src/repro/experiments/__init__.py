@@ -8,7 +8,8 @@ Modules:
   :class:`~repro.experiments.api.ExperimentRunner`.
 * :mod:`repro.experiments.defaults` — Table 4.1 parameter settings and
   storage-scheme builders.
-* :mod:`repro.experiments.runner` — sweep machinery and ASCII tables.
+* :mod:`repro.experiments.runner` — result containers, per-point
+  evaluation and ASCII tables.
 * ``fig4_1`` … ``fig4_8``, ``table4_2`` — one module per paper
   artifact, each registering a spec (``@experiment("fig4_1")`` …).
 * :mod:`repro.experiments.ablations` — group commit, asynchronous
@@ -40,7 +41,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     Series,
     SeriesPoint,
-    sweep,
 )
 
 __all__ = [
@@ -55,5 +55,4 @@ __all__ = [
     "experiment",
     "experiment_ids",
     "get_experiment",
-    "sweep",
 ]

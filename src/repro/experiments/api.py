@@ -23,14 +23,16 @@ module makes that family first-class:
   journal (:mod:`~repro.experiments.journal`) as they complete, and
   resumable after interruption (``resume=True``).
 
-Determinism: every point gets the same :func:`~repro.experiments.runner.point_seed`
-as the historical serial :func:`~repro.experiments.runner.sweep` path,
-and saturation truncation is applied post-hoc per curve, so serial and
-parallel runs produce byte-identical :class:`ExperimentResult`\\ s.
+Determinism: every point gets its seed from
+:func:`~repro.experiments.runner.point_seed` and is evaluated by the one
+:func:`~repro.experiments.runner._evaluate_point`, and saturation
+truncation is applied post-hoc per curve, so serial, parallel and
+cache-hit runs produce byte-identical :class:`ExperimentResult`\\ s.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 import pickle
@@ -59,7 +61,6 @@ from repro.experiments.runner import (
     SeriesPoint,
     _append_point,
     _evaluate_point,
-    evaluate_points_parallel,
     point_seed,
 )
 
@@ -73,7 +74,6 @@ __all__ = [
     "experiment",
     "experiment_ids",
     "get_experiment",
-    "legacy_run",
     "load_builtin_specs",
     "register",
     "unregister",
@@ -259,25 +259,6 @@ def experiment_ids() -> List[str]:
     return list(_FACTORIES)
 
 
-def legacy_run(exp_id: str, fast: bool = False,
-               duration: Optional[float] = None,
-               parallel: bool = False) -> ExperimentResult:
-    """Engine behind the deprecated module-level ``run()`` wrappers.
-
-    Emits the DeprecationWarning at the wrapper's call site
-    (``stacklevel=3``) and forwards to the registry + runner.
-    """
-    warnings.warn(
-        f"module-level run() is deprecated; use repro.experiments.api"
-        f".get_experiment({exp_id!r}) with ExperimentRunner",
-        DeprecationWarning, stacklevel=3,
-    )
-    return ExperimentRunner(parallel=parallel).run_one(
-        get_experiment(exp_id), "fast" if fast else "full",
-        duration=duration,
-    )
-
-
 def all_experiments() -> List[ExperimentSpec]:
     return [get_experiment(exp_id) for exp_id in experiment_ids()]
 
@@ -428,68 +409,34 @@ class ExperimentRunner:
 
     # -- public API --------------------------------------------------------
     def run_one(self, spec: Union[str, ExperimentSpec],
-                profile: str = "full",
-                duration: Optional[float] = None) -> ExperimentResult:
+                profile: str = "full") -> ExperimentResult:
         spec = self._resolve(spec)
-        return self.run([spec], profile=profile, duration=duration)[spec.id]
+        return self.run([spec], profile=profile)[spec.id]
 
     def run(self, specs: Iterable[Union[str, ExperimentSpec]],
-            profile: str = "full",
-            duration: Optional[float] = None
-            ) -> Dict[str, ExperimentResult]:
+            profile: str = "full") -> Dict[str, ExperimentResult]:
         """Run experiments; returns ``{id: ExperimentResult}`` in input
-        order.  ``duration`` overrides the profile's per-point duration
-        (legacy ``run(duration=...)`` compatibility)."""
-        plans = [self._plan(self._resolve(s), profile, duration)
-                 for s in specs]
+        order."""
+        plans = [self._plan(self._resolve(s), profile) for s in specs]
         if self.store is None and not self.journal and not self.resume:
             return self._run_direct(plans)
-        return self._run_cached(plans, profile, duration)
+        return self._run_cached(plans, profile)
 
     def _run_direct(self, plans: List[_Plan]) -> Dict[str, ExperimentResult]:
-        """The historical evaluation path: no fingerprints, no files."""
-        tasks = [task for plan in plans
-                 for curve_tasks in plan.tasks
-                 for task in curve_tasks]
-        evaluated: Optional[List[Results]] = None
-        if self.parallel and len(tasks) > 1:
-            evaluated = evaluate_points_parallel(tasks, self.max_workers,
-                                                 stacklevel=4)
-        if evaluated is not None:
-            precomputed = dict(zip(map(id, tasks), evaluated))
-            evaluate = lambda task: precomputed[id(task)]  # noqa: E731
-        elif self.configure is not None or self.observe is not None:
-            evaluate = self._evaluate_hooked
-        else:
-            evaluate = _evaluate_point
-        for plan in plans:
-            self._collect(plan, evaluate)
-        return {plan.spec.id: plan.result for plan in plans}
-
-    def _evaluate_hooked(self, task: Tuple) -> Results:
-        """Serial point evaluation with the configure/observe hooks.
-
-        Mirrors :func:`_evaluate_point` exactly apart from the hook
-        calls; keeping the system in-process is what lets ``observe``
-        read its tracer after the run."""
-        from repro.core.model import TransactionSystem
-
-        x, config, workload, warmup, duration, seed = task
-        if self.configure is not None:
-            config = self.configure(config)
-        builder = getattr(config, "build_system", None)
-        if builder is not None:
-            system = builder(workload, seed=seed)
-        else:
-            system = TransactionSystem(config, workload, seed=seed)
-        results = system.run(warmup=warmup, duration=duration)
-        if self.observe is not None:
-            self.observe(task, system, results)
-        return results
+        """No fingerprints, no files.  A serial run simulates lazily
+        (each truncating curve stops at its first saturated point); a
+        parallel run streams every point through the pool first."""
+        if self.parallel:
+            entries = self._entries(plans)
+            self._evaluate_pending(entries)
+            return self._collect(plans, self._lookup(entries))
+        if self.configure is None and self.observe is None:
+            return self._collect(plans, _evaluate_point)
+        return self._collect(plans, functools.partial(
+            _evaluate_point, configure=self.configure, observe=self.observe))
 
     # -- cached / journaled evaluation ------------------------------------
-    def _run_cached(self, plans: List[_Plan], profile: str,
-                    duration: Optional[float]
+    def _run_cached(self, plans: List[_Plan], profile: str
                     ) -> Dict[str, ExperimentResult]:
         from repro.core.fingerprint import (
             FingerprintError,
@@ -500,11 +447,7 @@ class ExperimentRunner:
         from repro.experiments.export import results_from_dict
 
         t_start = time.perf_counter()
-        entries: List[_PointTask] = []
-        for plan in plans:
-            for ci, curve_tasks in enumerate(plan.tasks):
-                for pi, task in enumerate(curve_tasks):
-                    entries.append(_PointTask(task, plan, ci, pi))
+        entries = self._entries(plans)
         stats = RunStats(total=len(entries))
 
         warned_uncacheable = False
@@ -529,13 +472,12 @@ class ExperimentRunner:
             "ids": [plan.spec.id for plan in plans],
             "profile": profile,
             "seed": self.seed,
-            "duration": duration,
             "salt": salt,
         })
         journal = self._open_journal(run_key)
 
         # Resume overlay: completed points of an interrupted run with
-        # the SAME run key (same ids/profile/seed/duration/code).
+        # the SAME run key (same ids/profile/seed/code).
         overlay: Dict[str, Results] = {}
         append = False
         if journal is not None and self.resume:
@@ -572,7 +514,6 @@ class ExperimentRunner:
                 "ids": [plan.spec.id for plan in plans],
                 "profile": profile,
                 "seed": self.seed,
-                "duration": duration,
                 "salt": salt,
                 "parallel": self.parallel,
                 "total_points": len(entries),
@@ -602,8 +543,8 @@ class ExperimentRunner:
                     primaries[fp] = entry
                 unique.append(entry)
 
-        def complete(entry: _PointTask, results: Results) -> None:
-            entry.results = results
+        def complete(entry: _PointTask) -> None:
+            results = entry.results
             stats.misses += 1
             if self.store is not None and entry.fingerprint is not None:
                 self.store.put(entry.fingerprint, results)
@@ -623,11 +564,7 @@ class ExperimentRunner:
             if journal is not None:
                 journal.finish(stats.to_dict())
 
-        by_task = {id(entry.task): entry.results for entry in entries}
-        evaluate = lambda task: by_task[id(task)]  # noqa: E731
-        for plan in plans:
-            self._collect(plan, evaluate)
-        return {plan.spec.id: plan.result for plan in plans}
+        return self._collect(plans, self._lookup(entries))
 
     def _open_journal(self, run_key: str):
         from repro.experiments.journal import RunJournal
@@ -669,13 +606,20 @@ class ExperimentRunner:
         }
 
     def _evaluate_pending(self, pending: List[_PointTask],
-                          complete: Callable[[_PointTask, Results], None]
-                          ) -> None:
-        """Evaluate entries, calling ``complete`` as each one finishes
-        (streaming: the journal and store see points the moment they
-        exist, which is what makes interruption cheap and ``repro
-        watch`` live).  Parallel evaluation degrades to serial exactly
-        like :func:`evaluate_points_parallel`."""
+                          complete: Optional[Callable[[_PointTask], None]]
+                          = None) -> None:
+        """Evaluate entries into ``entry.results``, calling ``complete``
+        as each one finishes (streaming: the journal and store see
+        points the moment they exist, which is what makes interruption
+        cheap and ``repro watch`` live).  When no worker pool can be
+        used (restricted sandbox, dead children, unpicklable workload)
+        the rest is evaluated serially: a genuine simulation error then
+        re-raises with a clean single-process traceback."""
+        def finish(entry: _PointTask, results: Results) -> None:
+            entry.results = results
+            if complete is not None:
+                complete(entry)
+
         remaining = pending
         if self.parallel and len(pending) > 1:
             workers = self.max_workers or min(len(pending),
@@ -685,16 +629,16 @@ class ExperimentRunner:
                     futures = {pool.submit(_evaluate_point, e.task): e
                                for e in pending}
                     for future in as_completed(futures):
-                        complete(futures[future], future.result())
+                        finish(futures[future], future.result())
             except (OSError, pickle.PicklingError, AttributeError,
                     TypeError, BrokenProcessPool) as exc:
                 warnings.warn(
-                    f"parallel cached run fell back to serial "
-                    f"evaluation: {exc!r}", RuntimeWarning, stacklevel=5,
+                    f"parallel run fell back to serial evaluation: "
+                    f"{exc!r}", RuntimeWarning, stacklevel=5,
                 )
             remaining = [e for e in pending if e.results is None]
         for entry in remaining:
-            complete(entry, _evaluate_point(entry.task))
+            finish(entry, _evaluate_point(entry.task))
 
     # -- internals ---------------------------------------------------------
     @staticmethod
@@ -703,10 +647,15 @@ class ExperimentRunner:
             return spec
         return get_experiment(spec)
 
-    def _plan(self, spec: ExperimentSpec, profile_name: str,
-              duration: Optional[float]) -> _Plan:
+    @staticmethod
+    def _entries(plans: List[_Plan]) -> List[_PointTask]:
+        return [_PointTask(task, plan, ci, pi)
+                for plan in plans
+                for ci, curve_tasks in enumerate(plan.tasks)
+                for pi, task in enumerate(curve_tasks)]
+
+    def _plan(self, spec: ExperimentSpec, profile_name: str) -> _Plan:
         prof = spec.profile(profile_name)
-        run_duration = duration if duration is not None else prof.duration
         base_seed = self.seed if self.seed is not None else spec.seed
         result = ExperimentResult(
             experiment_id=spec.id,
@@ -719,30 +668,38 @@ class ExperimentRunner:
         for curve in spec.curves_for(profile_name):
             result.series.append(Series(label=curve.label))
             plan.tasks.append([
-                (x, *curve.build(x), prof.warmup, run_duration,
+                (x, *curve.build(x), prof.warmup, prof.duration,
                  point_seed(base_seed, i))
                 for i, x in enumerate(prof.xs)
             ])
         return plan
 
-    def _collect(self, plan: _Plan,
-                 evaluate: Callable[[Tuple], Results]) -> None:
-        """Fill ``plan.result`` from per-task results.
+    @staticmethod
+    def _lookup(entries: List[_PointTask]) -> Callable[[Tuple], Results]:
+        """Evaluator serving already evaluated entries by task."""
+        by_task = {id(entry.task): entry.results for entry in entries}
+        return lambda task: by_task[id(task)]
+
+    @staticmethod
+    def _collect(plans: List[_Plan], evaluate: Callable[[Tuple], Results]
+                 ) -> Dict[str, ExperimentResult]:
+        """Fill each ``plan.result`` from per-task results.
 
         In the serial path ``evaluate`` runs the simulation lazily and
-        a truncating curve stops at its first saturated point, exactly
-        like ``sweep()`` always did; in the parallel path every point
-        was already evaluated and results beyond the truncation point
-        are simply discarded (post-hoc truncation), so both paths
-        produce identical series.
+        a truncating curve stops at its first saturated point; when
+        every point was already evaluated (parallel or cached) results
+        beyond the truncation point are simply discarded (post-hoc
+        truncation), so all paths produce identical series.
         """
-        truncate = plan.spec.truncate_on_saturation
-        for series, curve_tasks in zip(plan.result.series, plan.tasks):
-            for task in curve_tasks:
-                results = evaluate(task)
-                if truncate:
-                    if _append_point(series, task[0], results):
-                        break
-                else:
-                    series.points.append(SeriesPoint(x=task[0],
-                                                     results=results))
+        for plan in plans:
+            truncate = plan.spec.truncate_on_saturation
+            for series, curve_tasks in zip(plan.result.series, plan.tasks):
+                for task in curve_tasks:
+                    results = evaluate(task)
+                    if truncate:
+                        if _append_point(series, task[0], results):
+                            break
+                    else:
+                        series.points.append(SeriesPoint(x=task[0],
+                                                         results=results))
+        return {plan.spec.id: plan.result for plan in plans}

@@ -17,7 +17,7 @@ NVEM with the lowest response times.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.config import (
     DiskUnitType,
@@ -26,12 +26,9 @@ from repro.core.config import (
 )
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     StorageScheme,
@@ -39,10 +36,9 @@ from repro.experiments.defaults import (
     debit_credit_config,
     log_disk_unit,
 )
-from repro.experiments.runner import ExperimentResult
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = ["ALTERNATIVES", "run", "spec"]
+__all__ = ["ALTERNATIVES", "spec"]
 
 RATES = [10, 50, 100, 150, 200, 300, 500, 700]
 FAST_RATES = [50, 200, 500]
@@ -127,17 +123,3 @@ def spec() -> ExperimentSpec:
             "TPS, NVEM best",
         ),
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_1`` through the registry instead."""
-    return legacy_run("fig4_1", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(ExperimentRunner().run_one(get_experiment("fig4_1")).to_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,26 +15,22 @@ NVEM cache beats a 1000-page non-volatile disk cache.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     debit_credit_config,
     disk_only,
     second_level_cache_scheme,
 )
-from repro.experiments.runner import ExperimentResult
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = ["CONFIGURATIONS", "build_config", "run", "spec"]
+__all__ = ["CONFIGURATIONS", "build_config", "spec"]
 
 BUFFER_SIZES = [200, 500, 1000, 2000, 5000]
 FAST_BUFFER_SIZES = [500, 2000]
@@ -91,17 +87,3 @@ def spec() -> ExperimentSpec:
             "1000",
         ),
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_4`` through the registry instead."""
-    return legacy_run("fig4_4", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(ExperimentRunner().run_one(get_experiment("fig4_4")).to_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,18 +15,14 @@ size.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
-from repro.experiments.runner import ExperimentResult
 from repro.experiments.trace_setup import (
     ARRIVAL_RATE,
     MEAN_TX_SIZE,
@@ -35,7 +31,7 @@ from repro.experiments.trace_setup import (
     trace_workload,
 )
 
-__all__ = ["KINDS", "normalized_table", "run", "spec"]
+__all__ = ["KINDS", "spec"]
 
 CACHE_SIZES = [0, 1000, 2000, 3000, 5000]
 FAST_CACHE_SIZES = [0, 2000]
@@ -63,13 +59,6 @@ def _curves(profile: str) -> List[CurveSpec]:
     return [curve(label, kind) for label, kind in KINDS]
 
 
-def normalized_table(result: ExperimentResult) -> str:
-    return result.to_table(
-        metric=lambda r: r.normalized_response_time(MEAN_TX_SIZE) * 1000,
-        fmt="{:8.1f}",
-    )
-
-
 @experiment("fig4_7")
 def spec() -> ExperimentSpec:
     return ExperimentSpec(
@@ -94,18 +83,3 @@ def spec() -> ExperimentSpec:
         metric=lambda r: r.normalized_response_time(MEAN_TX_SIZE) * 1000,
         metric_fmt="{:8.1f}",
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_7`` through the registry instead."""
-    return legacy_run("fig4_7", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(normalized_table(ExperimentRunner().run_one(
-        get_experiment("fig4_7"))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,7 +22,7 @@ Format (one JSON object per line)::
     {"type": "done", "hits": ..., "misses": ..., ...}
 
 The ``run_key`` identifies the *command* (experiment ids, profile, seed
-override, duration override, code-version salt): ``--resume`` only
+override, code-version salt): ``--resume`` only
 reuses a journal whose run key matches, so a journal from different
 code or a different selection can never leak stale points into a run.
 A torn final line (the writer died mid-append) is ignored on read.

@@ -122,15 +122,16 @@ class TestRunner:
                     assert sp.results == pp.results
 
     def test_point_seeds_match_legacy_sweep(self, tiny_spec):
-        """The runner reuses sweep()'s per-point seeds, so results stay
-        byte-identical to the historical serial path."""
-        from repro.experiments.runner import sweep
+        """Point ``i`` of a curve runs with ``point_seed(seed, i)``, so
+        results are byte-identical to evaluating each point on its own."""
+        from repro.experiments.runner import _evaluate_point
 
-        legacy = sweep("alpha", [20.0, 40.0], tiny_build,
-                       warmup=0.5, duration=1.0, seed=tiny_spec.seed)
+        prof = tiny_spec.profile("full")
         result = api.ExperimentRunner().run_one(tiny_spec, "full")
-        for lp, rp in zip(legacy.points, result.series[0].points):
-            assert lp.results == rp.results
+        for i, point in enumerate(result.series[0].points):
+            task = (point.x, *tiny_build(point.x), prof.warmup,
+                    prof.duration, point_seed(tiny_spec.seed, i))
+            assert _evaluate_point(task) == point.results
 
     def test_truncation_post_hoc(self):
         """Parallel evaluation truncates each curve at its first
@@ -149,11 +150,22 @@ class TestRunner:
         result = api.ExperimentRunner().run_one(spec, "full")
         assert result.series[0].xs() == [20.0, 100_000.0]
 
-    def test_duration_override(self, tiny_spec):
-        result = api.ExperimentRunner().run_one(tiny_spec, "fast",
-                                                duration=0.3)
-        point = result.series[0].points[0]
-        assert point.results.simulated_time == pytest.approx(0.3, abs=0.2)
+    def test_serial_run_stops_at_first_saturated_point(self, monkeypatch):
+        """Without a store the serial path simulates lazily: nothing
+        past a truncating curve's first saturated point is evaluated."""
+        from tests.experiments.test_harness import fake_results
+
+        evaluated = []
+
+        def fake_evaluate(task):
+            evaluated.append(task[0])
+            return fake_results(saturated=task[0] >= 100_000.0)
+
+        monkeypatch.setattr(api, "_evaluate_point", fake_evaluate)
+        spec = make_tiny_spec("_lazy", xs=(20.0, 100_000.0, 200_000.0))
+        result = api.ExperimentRunner().run_one(spec, "full")
+        assert evaluated == [20.0, 100_000.0] * 2
+        assert result.series[0].xs() == [20.0, 100_000.0]
 
     def test_seed_spreads_across_points(self):
         assert point_seed(1, 0) != point_seed(1, 1)

@@ -14,6 +14,12 @@ from repro.core.config import (
 )
 from repro.core.metrics import Results
 from repro.experiments import runner
+from repro.experiments.api import (
+    CurveSpec,
+    ExperimentRunner,
+    ExperimentSpec,
+    SweepProfile,
+)
 from repro.experiments.defaults import (
     db_disk_unit,
     debit_credit_config,
@@ -86,7 +92,7 @@ class TestSeriesAndTables:
             result.series_by_label("missing")
 
     def test_sweep_stops_at_saturation(self):
-        """sweep() must truncate a curve at its first saturated point."""
+        """A sweep must truncate a curve at its first saturated point."""
         def build(rate):
             config = SystemConfig(
                 partitions=[PartitionConfig("p", num_objects=100,
@@ -113,9 +119,16 @@ class TestSeriesAndTables:
                                                   True)])
                 PoissonArrivals(self.rate, factory).start(system)
 
-        series = runner.sweep("s", [50, 100_000, 200_000], build,
-                              warmup=0.2, duration=2.0)
-        xs = series.xs()
+        spec = ExperimentSpec(
+            id="_saturating", title="t", x_label="x", y_label="y",
+            curves=[CurveSpec(label="s", build=build)],
+            profiles={
+                name: SweepProfile(xs=(50, 100_000, 200_000), warmup=0.2,
+                                   duration=2.0)
+                for name in ("fast", "full")
+            },
+        )
+        xs = ExperimentRunner().run_one(spec).series[0].xs()
         assert 50 in xs
         assert 200_000 not in xs  # curve truncated at saturation
 
@@ -206,8 +219,7 @@ class TestExperimentModules:
             trace_config(trace_for(fast=True), "tape", 500)
 
     def test_fig4_1_fast_run_has_expected_shape(self):
-        from repro.experiments import fig4_1
-        result = fig4_1.run(fast=True, duration=3.0)
+        result = ExperimentRunner().run_one("fig4_1", "fast")
         assert len(result.series) == 4
         single_disk = result.series_by_label("log on single disk")
         nvem_log = result.series_by_label("log in NVEM")

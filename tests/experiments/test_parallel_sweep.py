@@ -1,40 +1,23 @@
-"""Tests for the parallel sweep engine (repro.experiments.runner)."""
+"""Tests for parallel sweep evaluation through ``ExperimentRunner``."""
 
-from repro.core.config import (
-    CMConfig,
-    LogAllocation,
-    NVEM,
-    NVEMConfig,
-    PartitionConfig,
-    SystemConfig,
-)
-from repro.experiments.runner import point_seed, sweep
-from repro.workload.debit_credit import DebitCreditWorkload
+import pytest
+
+from repro.experiments import api
+from repro.experiments.runner import point_seed
+from tests.experiments.conftest import tiny_build
 
 
-def tiny_config() -> SystemConfig:
-    """An all-NVEM Debit-Credit system small enough for sub-second runs."""
-    from repro.workload.debit_credit import build_debit_credit_partitions
-
-    partitions = build_debit_credit_partitions(
-        num_branches=20, accounts_per_branch=1000,
-        allocation=NVEM, bt_allocation=NVEM,
+def run_curve(xs, build, parallel, warmup=0.5, duration=1.0):
+    """Run one curve over ``xs`` (no store) and return its series."""
+    spec = api.ExperimentSpec(
+        id="_curve", title="t", x_label="x", y_label="y",
+        curves=[api.CurveSpec(label="s", build=build)],
+        profiles={name: api.SweepProfile(xs=tuple(xs), warmup=warmup,
+                                         duration=duration)
+                  for name in ("fast", "full")},
     )
-    config = SystemConfig(
-        partitions=partitions,
-        disk_units=[],
-        nvem=NVEMConfig(num_servers=2),
-        cm=CMConfig(mpl=20, buffer_size=64),
-        log=LogAllocation(device=NVEM),
-    )
-    config.validate()
-    return config
-
-
-def build(rate: float):
-    return tiny_config(), DebitCreditWorkload(
-        arrival_rate=rate, num_branches=20, accounts_per_branch=1000,
-    )
+    runner = api.ExperimentRunner(parallel=parallel, max_workers=2)
+    return runner.run_one(spec).series[0]
 
 
 class TestPointSeeds:
@@ -51,35 +34,35 @@ class TestParallelSweep:
     XS = [20, 40, 60]
 
     def test_parallel_matches_serial_byte_identically(self):
-        serial = sweep("s", self.XS, build, warmup=0.5, duration=1.0)
-        parallel = sweep("s", self.XS, build, warmup=0.5, duration=1.0,
-                         parallel=True, max_workers=2)
-        assert [p.x for p in serial.points] == \
-            [p.x for p in parallel.points]
+        serial = run_curve(self.XS, tiny_build, parallel=False)
+        parallel = run_curve(self.XS, tiny_build, parallel=True)
+        assert serial.xs() == parallel.xs()
         for sp, pp in zip(serial.points, parallel.points):
             assert sp.results == pp.results
 
     def test_unpicklable_workload_degrades_to_serial(self):
         def build_unpicklable(rate):
-            config, workload = build(rate)
+            config, workload = tiny_build(rate)
             workload.hook = lambda: None  # closures cannot be pickled
             return config, workload
 
-        series = sweep("s", [20, 30], build_unpicklable,
-                       warmup=0.2, duration=0.5, parallel=True,
-                       max_workers=2)
-        assert [p.x for p in series.points] == [20, 30]
+        with pytest.warns(RuntimeWarning, match="fell back to serial"):
+            series = run_curve([20, 30], build_unpicklable, parallel=True,
+                               warmup=0.2, duration=0.5)
+        assert series.xs() == [20, 30]
 
     def test_parallel_truncates_at_saturation_like_serial(self):
         xs = [20, 100_000, 200_000]
-        serial = sweep("s", xs, build, warmup=0.2, duration=1.0)
-        parallel = sweep("s", xs, build, warmup=0.2, duration=1.0,
-                         parallel=True, max_workers=2)
-        assert [p.x for p in serial.points] == \
-            [p.x for p in parallel.points]
-        assert 200_000 not in [p.x for p in parallel.points]
+        serial = run_curve(xs, tiny_build, parallel=False, warmup=0.2)
+        parallel = run_curve(xs, tiny_build, parallel=True, warmup=0.2)
+        assert serial.xs() == parallel.xs()
+        assert 200_000 not in parallel.xs()
 
-    def test_single_point_skips_worker_pool(self):
-        series = sweep("s", [20], build, warmup=0.2, duration=0.5,
-                       parallel=True)
+    def test_single_point_skips_worker_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single point must not start a pool")
+
+        monkeypatch.setattr(api, "ProcessPoolExecutor", no_pool)
+        series = run_curve([20], tiny_build, parallel=True, warmup=0.2,
+                           duration=0.5)
         assert len(series.points) == 1

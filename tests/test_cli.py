@@ -188,22 +188,6 @@ class TestExperimentRun:
         code = main(["experiment", "run"])
         assert code == 2
 
-    def test_legacy_syntax_upgraded(self, tiny_registered, capsys):
-        """'experiment <id> --fast' still works, with a stderr note."""
-        code = main(["experiment", "_cli_tiny", "--fast"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "tiny registry test experiment" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_legacy_syntax_flag_first(self, tiny_registered, capsys):
-        """The old parser accepted '--fast <id>' order too."""
-        code = main(["experiment", "--fast", "_cli_tiny"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "tiny registry test experiment" in captured.out
-        assert "deprecated" in captured.err
-
     def test_invalid_workers_rejected(self, tiny_registered, capsys):
         code = main(["experiment", "run", "_cli_tiny",
                      "--profile", "fast", "--workers", "0"])
