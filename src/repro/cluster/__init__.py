@@ -1,14 +1,19 @@
-"""Sharded multi-node transaction processing (§2, [Ra91]/[Ra92]).
+"""Multi-node transaction processing (§2, [Ra91]/[Ra92]).
 
-The paper's workload-allocation argument assumes the Debit-Credit
-database can be sharded across loosely coupled computing modules with
-distributed transactions committing via two-phase commit.  This
-package simulates exactly that: ``num_nodes`` complete single-node
-TPSIM stacks (own devices, buffer, lock table, log) over disjoint
-branch shards, presumed-abort 2PC with per-phase log forces through
-each node's real log device, per-node crash injection with GEM
-failover for in-doubt pieces, and a price-performance model for
-``$/tps`` comparisons.
+One substrate for both of the paper's multi-node models, selected by
+``ClusterConfig.sharing``:
+
+* ``"nothing"`` (default): the workload-allocation argument's sharded
+  Debit-Credit database across loosely coupled computing modules.
+  ``num_nodes`` complete single-node TPSIM stacks (own devices,
+  buffer, lock table, log) over disjoint branch shards, presumed-abort
+  2PC with per-phase log forces through each node's real log device,
+  per-node crash injection with GEM failover for in-doubt pieces, and
+  a price-performance model for ``$/tps`` comparisons.
+* ``"disk"``: data sharing ([BHR91]/[Ra91]).  Nodes with their own
+  CPUs and buffers over one shared database, central locking,
+  broadcast invalidation and an optional global extended memory
+  (:mod:`repro.cluster.shared_disk`).
 
 Import note: this module stays import-light (config, partitioning,
 workload).  Build a runnable cluster through

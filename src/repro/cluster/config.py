@@ -1,15 +1,21 @@
-"""Configuration of a sharded multi-node transaction cluster.
+"""Configuration of a multi-node transaction cluster.
 
-A cluster is ``num_nodes`` identical computing modules, each running
-the full single-node TPSIM stack (own CPUs, buffer, lock table, log
-and device registry) over its *own shard* of the Debit-Credit
-database: ``branches_per_node`` branches with their tellers, accounts
-and history per node.  Cross-node transactions (a home branch on one
-node updating an account on another) commit through presumed-abort
-two-phase commit, with prepare/decision log records forced through
-each node's real log device — so NVEM-vs-disk log placement moves
-commit latency exactly as in the paper's §4, just twice per
-distributed commit.
+A cluster is ``num_nodes`` identical computing modules.  ``sharing``
+picks how they hold the database:
+
+* ``"nothing"`` (default): each node runs the full single-node TPSIM
+  stack (own CPUs, buffer, lock table, log and device registry) over
+  its *own shard* of the Debit-Credit database: ``branches_per_node``
+  branches with their tellers, accounts and history per node.
+  Cross-node transactions (a home branch on one node updating an
+  account on another) commit through presumed-abort two-phase commit,
+  with prepare/decision log records forced through each node's real
+  log device — so NVEM-vs-disk log placement moves commit latency
+  exactly as in the paper's §4, just twice per distributed commit.
+* ``"disk"``: data sharing ([BHR91]/[Ra91]).  ``node`` describes the
+  one shared database and its storage; every node brings its own CPUs
+  and buffer, locking is central and ``gem_capacity`` sizes an
+  optional global extended memory (:mod:`repro.cluster.shared_disk`).
 
 :class:`ClusterConfig` is a plain dataclass, so the content-addressed
 point cache fingerprints it field-by-field: changing ``num_nodes``
@@ -57,10 +63,18 @@ class ClusterConfig:
     """Complete description of one simulated cluster."""
 
     #: Per-node system template; every node is built from this config
-    #: (own storage, CPUs, buffer and lock table per node).
+    #: (own storage, CPUs, buffer and lock table per node).  With
+    #: ``sharing="disk"`` it is the shared database: one storage
+    #: subsystem and one lock table, per-node CPUs and buffers.
     node: SystemConfig = field(default_factory=SystemConfig)
     num_nodes: int = 2
-    #: Shard geometry (must match the template's partition sizes).
+    #: ``"nothing"`` (sharded, 2PC) or ``"disk"`` (data sharing).
+    sharing: str = "nothing"
+    #: Shared GEM page-cache capacity in pages; ``sharing="disk"``
+    #: only (0 disables GEM).
+    gem_capacity: int = 0
+    #: Shard geometry (must match the template's partition sizes;
+    #: ``sharing="nothing"`` only).
     branches_per_node: int = 25
     tellers_per_branch: int = 10
     accounts_per_branch: int = 2_000
@@ -75,9 +89,9 @@ class ClusterConfig:
     #: with strictly increasing instants.  Restarts are assumed not to
     #: overlap (one node down at a time), matching the single shared
     #: outage clock in the metrics.
+    #: The per-node checkpointer reads its period from
+    #: ``node.recovery.checkpoint_interval``.
     crash_schedule: Tuple[Tuple[int, float], ...] = ()
-    #: Per-node fuzzy-checkpoint period (bounds restart redo work).
-    checkpoint_interval: float = 10.0
     #: Dollars per computing module, for the $/tps cost model.
     node_price: float = DEFAULT_NODE_PRICE
     seed: int = 1
@@ -85,24 +99,33 @@ class ClusterConfig:
     def validate(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("cluster needs at least one node")
+        if self.sharing not in ("nothing", "disk"):
+            raise ValueError(f"unknown cluster sharing {self.sharing!r}")
+        if self.gem_capacity < 0:
+            raise ValueError("gem_capacity must be >= 0")
         if min(self.branches_per_node, self.tellers_per_branch,
                self.accounts_per_branch) < 1:
             raise ValueError("cluster shard geometry must be positive")
         if self.gem_failover_delay < 0:
             raise ValueError("gem_failover_delay must be >= 0")
-        if self.checkpoint_interval <= 0:
+        if self.node.recovery.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         if self.node_price < 0:
             raise ValueError("node_price must be >= 0")
+        # The single-system recovery subsystems would be silently
+        # ignored: cluster nodes crash through ``crash_schedule``.
+        if self.node.recovery.enabled:
+            raise ValueError("cluster nodes do not run node.recovery; "
+                             "use crash_schedule for node crashes")
+        if self.node.media.enabled:
+            raise ValueError("cluster nodes do not run node.media "
+                             "(media faults are single-system only)")
         self.coupling.validate()
         self.node.validate()
-        account = self.node.partition("ACCOUNT")
-        expected = self.branches_per_node * self.accounts_per_branch
-        if account.num_objects != expected:
-            raise ValueError(
-                f"node template has {account.num_objects} accounts, "
-                f"shard geometry implies {expected}"
-            )
+        if self.sharing == "disk":
+            self._validate_shared_disk()
+        else:
+            self._validate_shards()
         previous = 0.0
         for node_id, instant in self.crash_schedule:
             if not 0 <= node_id < self.num_nodes:
@@ -113,6 +136,27 @@ class ClusterConfig:
                     "crash schedule instants must be strictly increasing"
                 )
             previous = instant
+
+    def _validate_shared_disk(self) -> None:
+        if self.crash_schedule:
+            raise ValueError("sharing='disk' has no node-crash model: "
+                             "crash_schedule must be empty")
+        if self.node.trace.enabled:
+            raise ValueError("sharing='disk' does not support tracing")
+        if self.node.trace.telemetry_interval > 0:
+            raise ValueError("sharing='disk' does not support telemetry")
+
+    def _validate_shards(self) -> None:
+        if self.gem_capacity > 0:
+            raise ValueError("gem_capacity needs sharing='disk' (the "
+                             "shared-nothing cluster has no GEM cache)")
+        account = self.node.partition("ACCOUNT")
+        expected = self.branches_per_node * self.accounts_per_branch
+        if account.num_objects != expected:
+            raise ValueError(
+                f"node template has {account.num_objects} accounts, "
+                f"shard geometry implies {expected}"
+            )
 
     @property
     def total_branches(self) -> int:
@@ -213,7 +257,6 @@ def cluster_config(
         else CouplingConfig.nvem_coupling(),
         gem_failover_delay=gem_failover_delay,
         crash_schedule=tuple(crash_schedule),
-        checkpoint_interval=checkpoint_interval,
         node_price=node_price,
         seed=seed,
     )

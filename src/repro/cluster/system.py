@@ -1,55 +1,77 @@
-"""The sharded cluster: N shared-nothing nodes plus 2PC glue.
+"""The multi-node cluster: N nodes plus the glue between them.
 
-:class:`ClusterSystem` wires ``num_nodes`` complete per-node stacks
-(:class:`~repro.cluster.node.ClusterNode`) onto one simulation
-environment, routes every transaction to the home node of its branch,
-and holds the little shared state two-phase commit needs:
+:class:`ClusterSystem` wires ``num_nodes`` nodes onto one simulation
+environment and routes every transaction to a node: its home node when
+it has one, round-robin otherwise.  ``ClusterConfig.sharing`` picks
+the node model:
 
-* the **message bus** (send/receive CPU bursts + wire latency, the
-  same :class:`~repro.distributed.messages.MessageBus` the shared-disk
-  system uses),
-* the **GEM decision table** — commit decisions mirrored into global
-  extended memory at decision-force time, which is what lets a
-  survivor resolve a crashed coordinator's in-doubt participants
-  (presumed abort for everything not in the table),
-* the **pending-piece registry** the GEM failover walks.
+* ``"nothing"``: complete per-node stacks
+  (:class:`~repro.cluster.node.ClusterNode`) over disjoint shards,
+  with the little shared state two-phase commit needs — the **GEM
+  decision table** (commit decisions mirrored into global extended
+  memory at decision-force time, which lets a survivor resolve a
+  crashed coordinator's in-doubt participants; presumed abort for
+  everything not in the table) and the **pending-piece registry** the
+  GEM failover walks;
+* ``"disk"``: data-sharing nodes
+  (:class:`~repro.cluster.shared_disk.SharedDiskNode`) over one shared
+  database (:class:`~repro.cluster.shared_disk.SharedDisk`).
 
-The public surface mirrors
+Both modes talk over one **message bus** (send/receive CPU bursts +
+wire latency) and share one run loop, result path and per-node
+accounting.  The public surface mirrors
 :class:`~repro.core.model.TransactionSystem` (``run`` / ``snapshot`` /
 ``tm.submit``), so the experiment runner and exporters treat a cluster
-point exactly like a central one — plus a populated ``cluster`` block
-in its Results (nodes, $ cost, 2PC counters).
+point exactly like a central one.  A shared-nothing point adds a
+populated ``cluster`` block to its Results (nodes, $ cost, 2PC
+counters) and prefixes device names with the node (``n0:db0``); a
+shared-disk point reports its one storage subsystem unprefixed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import cluster_cost
 from repro.cluster.faults import ClusterFaultInjector
 from repro.cluster.node import ClusterNode
-from repro.cluster.partition import PartitionMap
+from repro.cluster.shared_disk import SharedDisk, SharedDiskNode
 from repro.cluster.twopc import RemotePiece
 from repro.core.metrics import MetricsCollector, Results
 from repro.core.model import measured_run
 from repro.core.transaction import Transaction
 from repro.distributed.messages import MessageBus
-from repro.distributed.system import NodeResults
 from repro.sim import Environment, RandomStreams
 
-__all__ = ["ClusterRouter", "ClusterSystem"]
+__all__ = ["ClusterRouter", "ClusterSystem", "NodeResults"]
+
+
+@dataclass
+class NodeResults:
+    """One node's share of the measurement window (committed only)."""
+
+    node_id: int
+    committed: int
+    cpu_utilization: float
 
 
 class ClusterRouter:
-    """The system's ``tm``: submits to the home node, aggregates queues."""
+    """The system's ``tm``: submits to the home node (round-robin for a
+    transaction without one), aggregates queues."""
 
     def __init__(self, system: "ClusterSystem"):
         self.system = system
+        self._next = 0
 
     def submit(self, tx: Transaction) -> None:
-        home = getattr(tx, "home_node", 0)
-        self.system.nodes[home].tm.submit(tx)
+        nodes = self.system.nodes
+        home = getattr(tx, "home_node", None)
+        if home is None:
+            home = self._next
+            self._next = (home + 1) % len(nodes)
+        nodes[home].tm.submit(tx)
 
     @property
     def input_queue_length(self) -> int:
@@ -64,7 +86,8 @@ class ClusterRouter:
 
 
 class ClusterSystem:
-    """N-node shared-nothing cluster with presumed-abort 2PC."""
+    """N-node cluster: shared-nothing with presumed-abort 2PC, or
+    shared-disk data sharing."""
 
     def __init__(self, config: ClusterConfig, workload,
                  seed: Optional[int] = None):
@@ -74,11 +97,18 @@ class ClusterSystem:
         self.streams = RandomStreams(seed if seed is not None
                                      else config.seed)
         self.metrics = MetricsCollector(self.env)
-        self.metrics.cluster_enabled = True
-        self.metrics.cluster_nodes = config.num_nodes
-        self.metrics.cluster_cost = cluster_cost(config)
-        self.partition_map = PartitionMap(config.num_nodes)
         self.bus = MessageBus(self.env, config.coupling)
+        #: The shared database of ``sharing="disk"`` (``None`` when the
+        #: nodes own shards).
+        self.shared: Optional[SharedDisk] = None
+        if config.sharing == "disk":
+            self.shared = SharedDisk(self)
+            node_type = SharedDiskNode
+        else:
+            self.metrics.cluster_enabled = True
+            self.metrics.cluster_nodes = config.num_nodes
+            self.metrics.cluster_cost = cluster_cost(config)
+            node_type = ClusterNode
         # Observability rides on the node template's TraceConfig.  The
         # tracer must exist before the nodes: each node wires a
         # per-node view (shared span buffer, node-tagged) into its own
@@ -96,9 +126,7 @@ class ClusterSystem:
         if trace_cfg.latency_detail:
             self.metrics.latency_detail = True
             self.metrics.slo_threshold = trace_cfg.slo_ms / 1000.0
-        self.nodes: List[ClusterNode] = [
-            ClusterNode(i, self) for i in range(config.num_nodes)
-        ]
+        self.nodes = [node_type(i, self) for i in range(config.num_nodes)]
         self.tm = ClusterRouter(self)
         if trace_cfg.telemetry_interval > 0:
             from repro.trace.telemetry import TelemetrySampler
@@ -165,7 +193,7 @@ class ClusterSystem:
         if not self._started:
             prewarm = getattr(self.workload, "prewarm", None)
             if prewarm is not None:
-                prewarm(self)
+                prewarm(self if self.shared is None else self.shared)
             self.faults.start()
             if self.telemetry is not None:
                 self.telemetry.start()
@@ -176,7 +204,11 @@ class ClusterSystem:
         self.metrics.reset()
         for node in self.nodes:
             node.cpu.reset_stats()
-            node.storage.reset_stats()
+        if self.shared is not None:
+            self.shared.reset_stats()
+        else:
+            for node in self.nodes:
+                node.storage.reset_stats()
         self.bus.stats.reset()
         self._node_completed_base = [node.tm.completed
                                      for node in self.nodes]
@@ -189,10 +221,14 @@ class ClusterSystem:
         )
 
     def snapshot(self) -> Results:
-        devices = {}
-        for node in self.nodes:
-            for name, report in node.storage.utilization_report().items():
-                devices[f"n{node.node_id}:{name}"] = report
+        if self.shared is not None:
+            devices = self.shared.storage.utilization_report()
+        else:
+            devices = {}
+            for node in self.nodes:
+                for name, report in \
+                        node.storage.utilization_report().items():
+                    devices[f"n{node.node_id}:{name}"] = report
         cpu_util = sum(n.cpu.utilization for n in self.nodes) / \
             len(self.nodes)
         return self.metrics.finalize(

@@ -12,7 +12,7 @@ open system driven beyond capacity grows its queue without bound; such
 runs are marked ``saturated`` (the paper simply does not plot those
 points, e.g. the single-log-disk curve in Fig. 4.1 ends near 200 TPS).
 That warm-up/measure loop, :func:`measured_run`, is also the run loop of
-the sharded cluster and the shared-disk system.
+the multi-node cluster (sharded and shared-disk).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def measured_run(system, warmup: float, duration: float,
                  default_queue_limit: int) -> Results:
     """Warm up, measure in slices with a saturation guard, snapshot.
 
-    The one measurement loop of every results-producing system (central,
-    sharded cluster, shared-disk): the host supplies ``start_workload``
+    The one measurement loop of every results-producing system (central
+    and cluster): the host supplies ``start_workload``
     / ``_reset_measurements`` / ``snapshot``, ``metrics`` and an
     admission queue via ``tm.input_queue_length``.  Both hooks are
     looked up on the system at call time, so an instance may wrap them.

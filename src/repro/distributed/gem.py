@@ -15,7 +15,7 @@ is that *other* nodes hit it too.  Semantics:
   pages is written to GEM (at NVEM speed) so other nodes always find
   the newest committed version — their own stale buffer copies are
   invalidated by the commit broadcast (see
-  :class:`repro.distributed.system.DistributedSystem`).
+  :mod:`repro.cluster.shared_disk`).
 """
 
 from __future__ import annotations

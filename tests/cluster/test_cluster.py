@@ -6,6 +6,8 @@ GEM decision table, determinism, and the fingerprint contract that
 keeps the content-addressed point cache honest about cluster knobs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -15,8 +17,10 @@ from repro.cluster import (
     node_scheme,
 )
 from repro.cluster.workload import ShardedDebitCreditWorkload
+from repro.core.config import DeviceFault, MediaConfig, RecoveryConfig
 from repro.core.fingerprint import fingerprint, point_fingerprint
 from repro.distributed.messages import CouplingConfig
+from repro.experiments.defaults import debit_credit_config, disk_only
 
 
 def build_cluster(num_nodes=2, log="nvem", rate=50.0, dist=0.15,
@@ -26,6 +30,48 @@ def build_cluster(num_nodes=2, log="nvem", rate=50.0, dist=0.15,
     workload = ShardedDebitCreditWorkload.for_cluster(
         config, arrival_rate_per_node=rate, distributed_fraction=dist)
     return config, workload
+
+
+def _with_node(config, **changes):
+    config.node = dataclasses.replace(config.node, **changes)
+    return config
+
+
+def _shared_disk(**kwargs):
+    return ClusterConfig(node=debit_credit_config(disk_only()),
+                         sharing="disk", **kwargs)
+
+
+_RECOVERY = dict(recovery=RecoveryConfig(enabled=True, crash_times=(3.0,)))
+_MEDIA = dict(media=MediaConfig(enabled=True,
+                                faults=(DeviceFault("db0", 3.0),)))
+
+#: Settings a cluster used to accept and silently ignore:
+#: (config builder, expected message).
+REJECTED = {
+    "nothing-recovery": (lambda: _with_node(cluster_config(), **_RECOVERY),
+                         "node.recovery"),
+    "nothing-media": (lambda: _with_node(cluster_config(), **_MEDIA),
+                      "node.media"),
+    "nothing-gem": (lambda: dataclasses.replace(cluster_config(),
+                                                gem_capacity=2000),
+                    "gem_capacity"),
+    "disk-recovery": (lambda: _with_node(_shared_disk(), **_RECOVERY),
+                      "node.recovery"),
+    "disk-media": (lambda: _with_node(_shared_disk(), **_MEDIA),
+                   "node.media"),
+    "disk-crash-schedule": (
+        lambda: _shared_disk(crash_schedule=((0, 3.0),)), "crash_schedule"),
+    "disk-trace": (lambda: _with_node(
+        _shared_disk(), trace=dataclasses.replace(
+            debit_credit_config(disk_only()).trace, enabled=True)),
+        "tracing"),
+    "disk-telemetry": (lambda: _with_node(
+        _shared_disk(), trace=dataclasses.replace(
+            debit_credit_config(disk_only()).trace,
+            telemetry_interval=0.5)),
+        "telemetry"),
+}
 
 
 def run_cluster(num_nodes=2, log="nvem", rate=50.0, dist=0.15,
@@ -51,6 +97,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             cluster_config(num_nodes=2,
                            crash_schedule=((0, 2.0), (1, 1.0)))
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejects_silently_ignored_settings(self, case):
+        build, message = REJECTED[case]
+        config = build()
+        with pytest.raises(ValueError, match=message):
+            config.validate()
 
     def test_node_scheme_log_placements(self):
         nvem = node_scheme(log="nvem")

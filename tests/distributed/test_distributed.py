@@ -1,11 +1,11 @@
-"""Tests for the distributed (data-sharing) extension."""
+"""Tests for data sharing (``ClusterConfig(sharing="disk")``) and the
+inter-node primitives of :mod:`repro.distributed`."""
 
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.distributed import (
     CouplingConfig,
-    DistributedConfig,
-    DistributedSystem,
     GlobalExtendedMemory,
     MessageBus,
 )
@@ -19,16 +19,19 @@ from repro.storage.nvem import NVEMDevice
 from repro.workload.debit_credit import DebitCreditWorkload
 
 
-def run_distributed(nodes=2, gem=0, rate=200.0, duration=4.0,
-                    coupling=None, routing="round_robin", seed=1):
-    config = debit_credit_config(disk_only())
-    dconfig = DistributedConfig(
-        num_nodes=nodes, gem_capacity=gem, routing=routing,
+def shared_disk(config=None, nodes=2, gem=0, coupling=None):
+    return ClusterConfig(
+        node=config or debit_credit_config(disk_only()), sharing="disk",
+        num_nodes=nodes, gem_capacity=gem,
         coupling=coupling or CouplingConfig.nvem_coupling(),
     )
-    system = DistributedSystem(config, dconfig,
-                               DebitCreditWorkload(arrival_rate=rate),
-                               seed=seed)
+
+
+def run_distributed(nodes=2, gem=0, rate=200.0, duration=4.0,
+                    coupling=None, seed=1):
+    config = shared_disk(nodes=nodes, gem=gem, coupling=coupling)
+    system = config.build_system(DebitCreditWorkload(arrival_rate=rate),
+                                 seed=seed)
     results = system.run(warmup=2.0, duration=duration)
     return results, system
 
@@ -36,11 +39,12 @@ def run_distributed(nodes=2, gem=0, rate=200.0, duration=4.0,
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DistributedConfig(num_nodes=0).validate()
+            shared_disk(nodes=0).validate()
         with pytest.raises(ValueError):
-            DistributedConfig(num_nodes=2, central_lock_node=5).validate()
+            shared_disk(gem=-1).validate()
         with pytest.raises(ValueError):
-            DistributedConfig(routing="carrier-pigeon").validate()
+            ClusterConfig(node=debit_credit_config(disk_only()),
+                          sharing="carrier-pigeon").validate()
         with pytest.raises(ValueError):
             CouplingConfig(latency=-1).validate()
 
@@ -174,7 +178,7 @@ class TestDistributedSystem:
         invalidate copies on the other."""
         results, system = run_distributed(nodes=2, gem=2000,
                                           duration=6.0)
-        assert system.invalidation_stats.get("pages_dropped") > 0
+        assert system.shared.invalidation_stats.get("pages_dropped") > 0
 
     def test_network_coupling_slower_than_nvem(self):
         nvem, _ = run_distributed(
@@ -193,11 +197,6 @@ class TestDistributedSystem:
         assert not four.saturated
         assert four.throughput == pytest.approx(900, rel=0.1)
 
-    def test_random_routing(self):
-        results, system = run_distributed(nodes=2, routing="random")
-        per_node = [n.committed for n in system.node_results()]
-        assert all(count > 0 for count in per_node)
-
     def test_workloads_unchanged(self):
         """Any existing workload runs on the distributed system."""
         from repro.experiments.fig4_8 import build_config
@@ -205,9 +204,8 @@ class TestDistributedSystem:
         from repro.workload.synthetic import SyntheticWorkload
 
         config = build_config("db0", "db0", "log0", CCMode.OBJECT, 100.0)
-        dconfig = DistributedConfig(num_nodes=2)
-        system = DistributedSystem(config, dconfig,
-                                   SyntheticWorkload(config), seed=2)
+        system = shared_disk(config).build_system(SyntheticWorkload(config),
+                                                  seed=2)
         results = system.run(warmup=2.0, duration=4.0)
         assert results.committed > 100
 
@@ -230,9 +228,7 @@ class TestDeadlockRestart:
         """Node TMs run the shared lifecycle, restart backoff included:
         the deadlock victim draws from the ``restart-backoff`` stream
         and its retry begins exactly that long after the abort."""
-        config = debit_credit_config(disk_only())
-        system = DistributedSystem(config, DistributedConfig(num_nodes=2),
-                                   workload=None, seed=3)
+        system = shared_disk().build_system(workload=None, seed=3)
         env = system.env
         draws = []
         exponential = system.streams.exponential
