@@ -26,6 +26,8 @@ Workloads:
 * ``page_reference`` — one CM hammering the per-reference pipeline
   (CPU burst + buffer-manager fix) on a main-memory-hit working set.
 * ``restart_replay`` — crash-recovery restart replay (log scan + redo).
+* ``trace_setup`` — one trace-driven point's set-up: fast trace
+  generation plus the prewarm replay into an NVEM-cached buffer.
 * ``fig4_1_fast_sweep`` — the registry-driven fig4_1 fast sweep end to
   end: what an experiment author actually waits for.
 * ``fig4_1_cached_rerun`` — the same sweep served entirely from a warm
@@ -55,6 +57,7 @@ __all__ = [
     "bench_same_instant_batch",
     "bench_scheduler_insert_pop",
     "bench_trace_overhead",
+    "bench_trace_setup",
     "calibration",
 ]
 
@@ -348,6 +351,22 @@ def bench_trace_overhead() -> int:
     return committed
 
 
+def bench_trace_setup() -> int:
+    """Set-up of one trace-driven point (the perfbench ``trace_nvem``
+    build): the fast §4.6 trace generated afresh, then its prewarm
+    replay into the 500-page main memory / 2000-page NVEM cache."""
+    from repro.core.model import TransactionSystem
+    from repro.experiments import trace_setup
+
+    trace = trace_setup.trace_for.__wrapped__(fast=True)
+    config = trace_setup.trace_config(trace, "nvem", 500, second_level=2000)
+    workload = trace_setup.trace_workload(trace)
+    system = TransactionSystem(config, workload)
+    workload.prewarm(system)
+    assert system.bm.nvem_occupancy() == 2000
+    return trace.num_accesses
+
+
 def bench_fig4_1_fast_sweep() -> int:
     """The registry-driven fig4_1 fast sweep, serial, end to end."""
     from repro.experiments.api import ExperimentRunner, get_experiment
@@ -428,6 +447,9 @@ WORKLOADS = {
     "trace_overhead": (
         bench_trace_overhead,
         "3x 1 s 200 TPS Debit-Credit: tracer off / sampled 1/10 / full"),
+    "trace_setup": (
+        bench_trace_setup,
+        "fast trace generation + prewarm into 500 MM / 2000 NVEM pages"),
     "fig4_1_fast_sweep": (
         bench_fig4_1_fast_sweep,
         "fig4_1 fast profile through the experiment registry"),

@@ -50,7 +50,7 @@ class SharedDisk:
 
     It is also the system a single-system workload's ``prewarm`` sees:
     the shared database's ``config``, the cluster's ``streams`` and a
-    ``bm`` whose ``prewarm_reference`` replays every reference into
+    ``bm`` whose ``prewarm_references`` replays every reference into
     each node's buffer.  Hot pages end up replicated in all node
     buffers — the steady state of a data-sharing system where every
     node serves the same workload.
@@ -70,10 +70,15 @@ class SharedDisk:
         self.locks = LockManager(env, cluster.metrics)
         self.bm = self  # the prewarm fan-out below
 
-    def prewarm_reference(self, partition_index: int, page_no: int,
-                          is_write: bool) -> None:
-        for node in self.cluster.nodes:
-            node.bm.prewarm_reference(partition_index, page_no, is_write)
+    def prewarm_references(self, refs) -> None:
+        """Replay each reference into every node's buffer before the
+        next one: node 0 ref 1, node 1 ref 1, node 0 ref 2, ...  The
+        nodes share the disk-unit caches and GEM, so replaying node by
+        node would leave them in another state."""
+        steps = [node.bm.prewarm_step() for node in self.cluster.nodes]
+        for partition_index, page_no, is_write in refs:
+            for step in steps:
+                step(partition_index, page_no, is_write)
 
     def broadcast_invalidation(self, tx: Transaction,
                                sender: "SharedDiskNode") -> Generator:

@@ -156,20 +156,22 @@ class ShardedDebitCreditWorkload:
                                max((u.cache_size for u in
                                     node.config.disk_units), default=0))
             n_txs = max(4000, 3 * (capacity + second_level))
-            streams = system.streams
-            prewarm_ref = node.bm.prewarm_reference
-            cursor = self._history_cursors[node.node_id]
-            for _ in range(n_txs):
-                acct = self._account_ref(streams)
-                bt_page = streams.uniform_int("cdc-branch", 0,
-                                              self.branches_per_node - 1)
-                hist_page = cursor // self.history_block_factor
-                cursor = (cursor + 1) % _HISTORY_OBJECTS
-                prewarm_ref(P_ACCOUNT, acct.page_no, True)
-                prewarm_ref(P_HISTORY, hist_page, True)
-                prewarm_ref(P_BRANCH_TELLER, bt_page, True)
-                prewarm_ref(P_BRANCH_TELLER, bt_page, True)
-            self._history_cursors[node.node_id] = cursor
+            node.bm.prewarm_references(
+                self._prewarm_refs(system.streams, node.node_id, n_txs))
+
+    def _prewarm_refs(self, streams, node_id: int, n_txs: int):
+        cursor = self._history_cursors[node_id]
+        for _ in range(n_txs):
+            acct = self._account_ref(streams)
+            bt_page = streams.uniform_int("cdc-branch", 0,
+                                          self.branches_per_node - 1)
+            hist_page = cursor // self.history_block_factor
+            cursor = (cursor + 1) % _HISTORY_OBJECTS
+            yield P_ACCOUNT, acct.page_no, True
+            yield P_HISTORY, hist_page, True
+            yield P_BRANCH_TELLER, bt_page, True
+            yield P_BRANCH_TELLER, bt_page, True
+        self._history_cursors[node_id] = cursor
 
     # -- SOURCE ----------------------------------------------------------
     def start(self, system) -> None:

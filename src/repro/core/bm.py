@@ -28,7 +28,9 @@ the device works (asynchronous), unless the partition is configured
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Generator, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.core.config import (
     NVEM,
@@ -146,6 +148,8 @@ class BufferManager:
         self._log_mirror = config.recovery.log_mirror
         #: Diagnostics.
         self.eviction_stalls = 0
+        #: Per-partition prewarm routing (see :meth:`prewarm_step`).
+        self._prewarm_tables = None
 
     # ------------------------------------------------------------------
     # Page access (fix)
@@ -815,7 +819,13 @@ class BufferManager:
     # ------------------------------------------------------------------
     def prewarm_reference(self, partition_index: int, page_no: int,
                           is_write: bool) -> None:
-        """Replay one reference through the cache levels without timing.
+        """Replay one reference; see :meth:`prewarm_references`."""
+        self.prewarm_references(((partition_index, page_no, is_write),))
+
+    def prewarm_references(
+            self, refs: Iterable[Tuple[int, int, bool]]) -> None:
+        """Replay ``(partition_index, page_no, is_write)`` references
+        through the cache levels without timing.
 
         The paper reports steady-state measurements; reaching LRU steady
         state for a 2000-frame buffer over a 5-million-page ACCOUNT file
@@ -824,54 +834,91 @@ class BufferManager:
         every cache level — main memory, NVEM cache and the disk-unit
         caches — with no simulated time, no I/O and immediate "destage"
         of displaced dirty pages.  Measurement then starts from realistic
-        buffer contents.
+        buffer contents.  ``refs`` is consumed lazily, so a workload may
+        pass a generator that draws its references as it goes.
         """
-        if self._part_mem_resident[partition_index]:
-            return
+        step = self.prewarm_step()
+        for partition_index, page_no, is_write in refs:
+            step(partition_index, page_no, is_write)
+
+    def prewarm_step(self) -> Callable[[int, int, bool], None]:
+        """The replay of one reference, with this buffer's per-partition
+        routing bound once (:meth:`prewarm_references` calls it per
+        reference; the shared-disk fan-out interleaves one per node)."""
+        tables = self._prewarm_tables
+        if tables is None:
+            tables = self._prewarm_tables = self._build_prewarm_tables()
+        skip, nvem_resident, nvem_cached, migrates_clean, migrates_dirty, \
+            unit_caches = tables
         # Under FORCE, resident pages are clean at steady state (forced
         # at every commit); only NOFORCE leaves modifications in place.
-        is_write = is_write and self._noforce
-        key = (partition_index, page_no)
-        entry = self.mm.get(key)
-        if entry is not None:
-            if is_write and not entry.dirty:
-                entry.dirty = True
-            return
-        part = self.partitions[partition_index]
-        nvem_resident = self.storage.is_nvem_resident(part.name)
-        if not nvem_resident:
-            if self.nvem_cache is not None and \
-                    part.nvem_caching is not NVEMCachingMode.NONE and \
-                    key in self.nvem_cache:
-                self.nvem_cache.get(key)  # touch
-                if self.cm.update_strategy is UpdateStrategy.NOFORCE:
-                    self.nvem_cache.remove(key)
-            else:
-                unit = self.storage.unit_of(part.name)
-                if unit is not None and unit.cache is not None:
-                    decision = unit.cache.on_read(key)
-                    if not decision.hit:
-                        unit.cache.on_read_fill(key)
-        while len(self.mm) >= self.mm.capacity:
-            victim = self.mm.victim()
-            self._prewarm_displace(victim)
-            self.mm.remove(victim.key)
-        self.mm.insert(key, dirty=is_write)
+        noforce = self._noforce
+        mm = self.mm
+        mm_get, mm_victim, mm_remove, mm_insert = \
+            mm.get, mm.victim, mm.remove, mm.insert
+        capacity = mm.capacity
+        nvem_cache = self.nvem_cache
+        nvem_insert = self._prewarm_nvem_insert
 
-    def _prewarm_displace(self, victim) -> None:
-        """Model the destination of a page displaced during prewarm."""
-        vpart = self.partitions[victim.key[0]]
-        if self.storage.is_nvem_resident(vpart.name):
-            return
-        if self._migrates_to_nvem(vpart, dirty=victim.dirty):
-            self._prewarm_nvem_insert(victim.key)
-            return
-        if victim.dirty:
-            unit = self.storage.unit_of(vpart.name)
-            if unit is not None and unit.cache is not None:
-                decision = unit.cache.on_write(victim.key)
-                # Treat the disk update as already complete.
-                unit.cache.on_disk_write_complete(decision.entry)
+        def step(partition_index: int, page_no: int, is_write: bool) -> None:
+            if skip[partition_index]:
+                return
+            is_write = is_write and noforce
+            key = (partition_index, page_no)
+            entry = mm_get(key)
+            if entry is not None:
+                if is_write and not entry.dirty:
+                    entry.dirty = True
+                return
+            if not nvem_resident[partition_index]:
+                if nvem_cached[partition_index] and key in nvem_cache:
+                    nvem_cache.get(key)  # touch
+                    if noforce:
+                        nvem_cache.remove(key)
+                else:
+                    cache = unit_caches[partition_index]
+                    if cache is not None and not cache.on_read(key).hit:
+                        cache.on_read_fill(key)
+            # Displaced pages go where a replacement would send them,
+            # their disk update treated as already complete.
+            while len(mm) >= capacity:
+                victim = mm_victim()
+                vkey = victim.key
+                vindex = vkey[0]
+                if not nvem_resident[vindex]:
+                    migrates = migrates_dirty if victim.dirty \
+                        else migrates_clean
+                    if migrates[vindex]:
+                        nvem_insert(vkey)
+                    elif victim.dirty:
+                        cache = unit_caches[vindex]
+                        if cache is not None:
+                            cache.on_disk_write_complete(
+                                cache.on_write(vkey).entry)
+                mm_remove(vkey)
+            mm_insert(key, dirty=is_write)
+
+        return step
+
+    def _build_prewarm_tables(self):
+        """Per-partition routing of :meth:`prewarm_step`.  Built on first
+        use, not in ``__init__``: subclasses finish their own set-up
+        (e.g. the shared-disk GEM) after ``super().__init__()`` and may
+        override :meth:`_migrates_to_nvem`."""
+        parts = self.partitions
+        storage = self.storage
+        nvem_resident = [storage.is_nvem_resident(p.name) for p in parts]
+        units = [storage.unit_of(p.name) for p in parts]
+        return (
+            self._part_mem_resident,
+            nvem_resident,
+            [self.nvem_cache is not None
+             and p.nvem_caching is not NVEMCachingMode.NONE
+             for p in parts],
+            [self._migrates_to_nvem(p, dirty=False) for p in parts],
+            [self._migrates_to_nvem(p, dirty=True) for p in parts],
+            [None if unit is None else unit.cache for unit in units],
+        )
 
     def _prewarm_nvem_insert(self, key) -> None:
         cache = self.nvem_cache

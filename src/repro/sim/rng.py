@@ -11,9 +11,10 @@ Fig. 4.4's buffer-size axis) smooth.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from bisect import bisect_right
+from typing import Callable, Dict, List, Sequence
 
-__all__ = ["RandomStreams"]
+__all__ = ["RandomStreams", "cumulative_weights"]
 
 # Large odd constant used to derive independent substream seeds.
 _STREAM_SALT = 0x9E3779B97F4A7C15
@@ -71,6 +72,18 @@ class RandomStreams:
             return low + rng._randbelow(high - low + 1)
         return rng.randint(low, high)  # pragma: no cover - non-CPython
 
+    def below(self, name: str) -> Callable[[int], int]:
+        """The bound draw ``below(n)``, uniform in ``[0, n)`` for n >= 1.
+
+        ``low + below(high - low + 1)`` consumes exactly the bits of
+        ``uniform_int(name, low, high)``; hot loops bind it once instead
+        of looking the stream up on every draw.
+        """
+        rng = self.stream(name)
+        if _HAS_RANDBELOW:
+            return rng._randbelow
+        return rng.randrange  # pragma: no cover - non-CPython
+
     def bernoulli(self, name: str, p: float) -> bool:
         if p <= 0.0:
             return False
@@ -79,21 +92,13 @@ class RandomStreams:
         return self.stream(name).random() < p
 
     def choice_weighted(self, name: str, weights: Sequence[float]) -> int:
-        """Index drawn with probability proportional to ``weights``."""
-        total = 0.0
-        for w in weights:
-            if w < 0:
-                raise ValueError("negative weight")
-            total += w
-        if total <= 0:
-            raise ValueError("weights sum to zero")
-        x = self.stream(name).random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1
+        """Index drawn with probability proportional to ``weights``: the
+        first index whose running sum exceeds ``random() * total``, else
+        the last.  Hot loops precompute :func:`cumulative_weights` once
+        and bisect the same way."""
+        cum = cumulative_weights(weights)
+        return bisect_right(cum, self.stream(name).random() * cum[-1],
+                            0, len(cum) - 1)
 
     def geometric_like_size(self, name: str, mean: float,
                             minimum: int = 1) -> int:
@@ -142,6 +147,21 @@ class RandomStreams:
         """A child family with a seed derived from this one."""
         child_seed = (self.seed * _STREAM_SALT + hash_name(name)) & ((1 << 63) - 1)
         return RandomStreams(child_seed)
+
+
+def cumulative_weights(weights: Sequence[float]) -> List[float]:
+    """Running sums of non-negative ``weights``, accumulated left to
+    right (so the last one is the float total a linear scan reaches)."""
+    cum: List[float] = []
+    acc = 0.0
+    for w in weights:
+        if w < 0:
+            raise ValueError("negative weight")
+        acc += w
+        cum.append(acc)
+    if acc <= 0:
+        raise ValueError("weights sum to zero")
+    return cum
 
 
 def hash_name(name: str) -> int:

@@ -165,13 +165,15 @@ class SyntheticWorkload:
         total = sum(rates)
         if total <= 0:
             return
+        system.bm.prewarm_references(
+            self._prewarm_refs(system.streams, rates, n_txs))
+
+    def _prewarm_refs(self, streams, rates, n_txs: int):
         for _ in range(n_txs):
-            idx = system.streams.choice_weighted("prewarm-type", rates)
-            tx = self.make_transaction(system.streams,
-                                       self.config.tx_types[idx])
+            idx = streams.choice_weighted("prewarm-type", rates)
+            tx = self.make_transaction(streams, self.config.tx_types[idx])
             for ref in tx.refs:
-                system.bm.prewarm_reference(ref.partition_index,
-                                            ref.page_no, ref.is_write)
+                yield ref.partition_index, ref.page_no, ref.is_write
 
     # -- SOURCE ------------------------------------------------------------
     def start(self, system) -> None:

@@ -14,6 +14,8 @@ trace data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +32,10 @@ __all__ = [
     "read_trace",
     "write_trace",
 ]
+
+#: References unboxed per step when replaying the columns: bounded so a
+#: replay never holds a whole column as Python objects.
+REPLAY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -85,25 +91,28 @@ class Trace:
                           transactions: Sequence[TraceTransaction]) -> "Trace":
         type_names: List[str] = []
         type_index: Dict[str, int] = {}
-        tx_types = np.empty(len(transactions), dtype=np.int16)
-        offsets = np.zeros(len(transactions) + 1, dtype=np.int64)
-        total = sum(len(t) for t in transactions)
-        file_ids = np.empty(total, dtype=np.int16)
-        pages = np.empty(total, dtype=np.int64)
-        writes = np.zeros(total, dtype=bool)
-        cursor = 0
-        for i, tx in enumerate(transactions):
-            idx = type_index.get(tx.type_name)
-            if idx is None:
-                idx = type_index[tx.type_name] = len(type_names)
+        for tx in transactions:
+            if tx.type_name not in type_index:
+                type_index[tx.type_name] = len(type_names)
                 type_names.append(tx.type_name)
-            tx_types[i] = idx
-            for file_id, page, is_write in tx.refs:
-                file_ids[cursor] = file_id
-                pages[cursor] = page
-                writes[cursor] = is_write
-                cursor += 1
-            offsets[i + 1] = cursor
+        count = len(transactions)
+        tx_types = np.fromiter((type_index[tx.type_name]
+                                for tx in transactions),
+                               dtype=np.int16, count=count)
+        offsets = np.fromiter(accumulate((len(tx.refs)
+                                          for tx in transactions),
+                                         initial=0),
+                              dtype=np.int64, count=count + 1)
+        total = int(offsets[-1])
+
+        def column(field: int, dtype) -> np.ndarray:
+            refs = chain.from_iterable(tx.refs for tx in transactions)
+            return np.fromiter(map(itemgetter(field), refs), dtype=dtype,
+                               count=total)
+
+        file_ids = column(0, np.int16)
+        pages = column(1, np.int64)
+        writes = column(2, bool)
         return cls(files, type_names, tx_types, offsets, file_ids, pages,
                    writes)
 
@@ -129,13 +138,19 @@ class Trace:
         return len(self.tx_types)
 
     def transaction(self, index: int) -> TraceTransaction:
-        lo = int(self.offsets[index])
-        hi = int(self.offsets[index + 1])
-        refs = [
-            (int(self.file_ids[j]), int(self.pages[j]), bool(self.writes[j]))
-            for j in range(lo, hi)
-        ]
+        lo, hi = self.offsets[index:index + 2].tolist()
+        refs = zip(self.file_ids[lo:hi].tolist(), self.pages[lo:hi].tolist(),
+                   self.writes[lo:hi].tolist())
         return TraceTransaction(self.type_names[self.tx_types[index]], refs)
+
+    def references(self, lo: int, hi: int) -> Iterator[Tuple[int, int, bool]]:
+        """``(file_id, page, is_write)`` of flat references ``lo..hi-1``,
+        unboxed :data:`REPLAY_CHUNK` at a time (never a whole column)."""
+        for start in range(lo, hi, REPLAY_CHUNK):
+            stop = min(start + REPLAY_CHUNK, hi)
+            yield from zip(self.file_ids[start:stop].tolist(),
+                           self.pages[start:stop].tolist(),
+                           self.writes[start:stop].tolist())
 
     def iter_transactions(self) -> Iterator[TraceTransaction]:
         for i in range(len(self)):
@@ -323,20 +338,15 @@ class TraceWorkload:
             system.tm.submit(self._to_transaction(ttx))
 
     def prewarm(self, system, max_accesses: int = 120_000) -> None:
-        """Warm the cache levels by silently replaying trace references."""
-        fed = 0
-        for i in range(len(self.trace)):
-            lo = int(self.trace.offsets[i])
-            hi = int(self.trace.offsets[i + 1])
-            for j in range(lo, hi):
-                system.bm.prewarm_reference(
-                    int(self.trace.file_ids[j]),
-                    int(self.trace.pages[j]),
-                    bool(self.trace.writes[j]),
-                )
-            fed += hi - lo
-            if fed >= max_accesses:
-                return
+        """Warm the cache levels by silently replaying trace references:
+        whole transactions, up to the first one that brings the count
+        of replayed references to ``max_accesses``."""
+        offsets = self.trace.offsets
+        start = int(offsets[0])
+        # First transaction whose end reaches the budget (else the end).
+        last = int(np.searchsorted(offsets[1:], start + max_accesses))
+        stop = int(offsets[min(last + 1, len(offsets) - 1)])
+        system.bm.prewarm_references(self.trace.references(start, stop))
 
     def start(self, system) -> None:
         if self.arrival_rate is not None:

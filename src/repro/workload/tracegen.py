@@ -22,10 +22,11 @@ cache-hostile behaviour.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, cumulative_weights
 from repro.workload.trace import Trace, TraceFile, TraceTransaction
 
 __all__ = ["RealWorkloadProfile", "generate_trace"]
@@ -101,6 +102,12 @@ def _subpartition_bounds(num_pages: int,
     return bounds
 
 
+def _span(low: int, high: int) -> int:
+    if high < low:
+        raise ValueError(f"empty range [{low!r}, {high!r}]")
+    return high - low + 1
+
+
 def generate_trace(profile: Optional[RealWorkloadProfile] = None,
                    seed: int = 42) -> Trace:
     """Build a synthetic trace matching the §4.6 marginals."""
@@ -168,18 +175,40 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
     writes_needed = profile.target_write_fraction * profile.target_accesses
     write_prob = min(1.0, writes_needed / max(1.0, expected_update_accesses))
 
-    def pick_page(type_idx: int, file_idx: int) -> int:
-        sub = streams.choice_weighted("tg-sub", list(profile.locality_probs))
-        low, high = bounds[file_idx][sub]
-        return streams.uniform_int(f"tg-page-{file_idx}", low, high)
+    # The per-reference loop below is the generator's hot path, so each
+    # named stream is bound once and the draws go to the underlying
+    # ``random.Random`` directly.  Every draw is the one the
+    # :class:`RandomStreams` helper would make: ``choice_weighted`` is
+    # its bisect over sums precomputed once, ``uniform_int`` is
+    # ``low + below(span)``, and ``bernoulli`` keeps its no-draw cases
+    # for p <= 0 and p >= 1.
+    type_cum = cumulative_weights(profile.type_shares)
+    type_random = streams.stream("tg-type").random
+    sub_cum = cumulative_weights(profile.locality_probs)
+    sub_total = sub_cum[-1]
+    sub_last = len(sub_cum) - 1
+    sub_random = streams.stream("tg-sub").random
+    file_cums = [cumulative_weights(w) for w in type_file_weights]
+    file_randoms = [streams.stream(f"tg-file-{t}").random
+                    for t in range(num_normal)]
+    write_random = streams.stream("tg-write").random
+    page_below = [streams.below(f"tg-page-{f}")
+                  for f in range(profile.num_files)]
+    wpage_below = [streams.below(f"tg-wpage-{f}")
+                   for f in range(profile.num_files)]
+    # (low, span) of each file's subpartitions; writes (inserts/updates
+    # of individual records) land in the cold tail, not on the read-hot
+    # pages: X-locks on the hottest pages would thrash every reader, a
+    # behaviour absent from the paper's read-dominated trace.
+    page_ranges = [
+        [(low, _span(low, high)) for low, high in file_bounds]
+        for file_bounds in bounds
+    ]
+    write_ranges = [ranges[-1] for ranges in page_ranges]
 
     def pick_write_page(file_idx: int) -> int:
-        # Writes (inserts/updates of individual records) land in the
-        # cold tail, not on the read-hot pages: X-locks on the hottest
-        # pages would thrash every reader, a behaviour absent from the
-        # paper's read-dominated trace.
-        low, high = bounds[file_idx][-1]
-        return streams.uniform_int(f"tg-wpage-{file_idx}", low, high)
+        low, span = write_ranges[file_idx]
+        return low + wpage_below[file_idx](span)
 
     transactions: List[TraceTransaction] = []
 
@@ -205,30 +234,38 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
             ]
             transactions.append(TraceTransaction("adhoc-query", refs))
             continue
-        type_idx = streams.choice_weighted(
-            "tg-type", list(profile.type_shares)
-        )
+        type_idx = bisect_right(type_cum, type_random() * type_cum[-1],
+                                0, len(type_cum) - 1)
         mean = type_means[type_idx]
         size = streams.geometric_like_size(f"tg-size-{type_idx}", mean)
         is_update = type_idx < num_update_types and streams.bernoulli(
             "tg-update", update_prob
         )
+        may_write = is_update and write_prob > 0.0
+        always_write = write_prob >= 1.0
         refs = []
-        weights = type_file_weights[type_idx]
+        append = refs.append
         affinity = type_files[type_idx]
+        file_cum = file_cums[type_idx]
+        file_total = file_cum[-1]
+        file_last = len(file_cum) - 1
+        file_random = file_randoms[type_idx]
+        wrote = False
         for _ in range(size):
             file_idx = affinity[
-                streams.choice_weighted(f"tg-file-{type_idx}", weights)
+                bisect_right(file_cum, file_random() * file_total,
+                             0, file_last)
             ]
-            is_write = is_update and streams.bernoulli(
-                "tg-write", write_prob
-            )
-            if is_write:
-                page = pick_write_page(file_idx)
+            if may_write and (always_write or write_random() < write_prob):
+                low, span = write_ranges[file_idx]
+                append((file_idx, low + wpage_below[file_idx](span), True))
+                wrote = True
             else:
-                page = pick_page(type_idx, file_idx)
-            refs.append((file_idx, page, is_write))
-        if is_update and not any(w for _, _, w in refs):
+                sub = bisect_right(sub_cum, sub_random() * sub_total,
+                                   0, sub_last)
+                low, span = page_ranges[file_idx][sub]
+                append((file_idx, low + page_below[file_idx](span), False))
+        if is_update and not wrote:
             # Guarantee update transactions write at least once.
             file_idx, page, _ = refs[-1]
             refs[-1] = (file_idx, pick_write_page(file_idx), True)

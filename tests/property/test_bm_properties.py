@@ -7,12 +7,21 @@ hold:
 * frame counts never exceed capacities;
 * NOFORCE: no page cached in both main memory and NVEM;
 * the write-buffer occupancy is never negative;
-* every page access is attributed to exactly one hierarchy level.
+* every page access is attributed to exactly one hierarchy level;
+* the batched prewarm leaves every cache level exactly as a
+  reference-at-a-time replay does.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.config import NVEMCachingMode, UpdateStrategy
+from repro.core.config import (
+    MEMORY,
+    NVEM,
+    DiskUnitType,
+    NVEMCachingMode,
+    PolicySpec,
+    UpdateStrategy,
+)
 from repro.core.transaction import ObjectRef, Transaction
 from tests.core.test_bm import build_system
 
@@ -128,3 +137,138 @@ def test_force_leaves_no_dirty_pages_after_commits(accesses):
     env.run()
     dirty = [e.key for e in bm.mm.items_mru_to_lru() if e.dirty]
     assert dirty == []
+
+
+# -- batched prewarm ≡ reference-at-a-time replay -----------------------------
+#
+# The oracle is the reference-at-a-time prewarm the buffer manager had
+# before ``prewarm_references`` replaced it, kept verbatim apart from
+# ``self`` becoming ``bm``.
+
+def oracle_prewarm_reference(bm, partition_index, page_no, is_write):
+    if bm._part_mem_resident[partition_index]:
+        return
+    is_write = is_write and bm._noforce
+    key = (partition_index, page_no)
+    entry = bm.mm.get(key)
+    if entry is not None:
+        if is_write and not entry.dirty:
+            entry.dirty = True
+        return
+    part = bm.partitions[partition_index]
+    nvem_resident = bm.storage.is_nvem_resident(part.name)
+    if not nvem_resident:
+        if bm.nvem_cache is not None and \
+                part.nvem_caching is not NVEMCachingMode.NONE and \
+                key in bm.nvem_cache:
+            bm.nvem_cache.get(key)  # touch
+            if bm.cm.update_strategy is UpdateStrategy.NOFORCE:
+                bm.nvem_cache.remove(key)
+        else:
+            unit = bm.storage.unit_of(part.name)
+            if unit is not None and unit.cache is not None:
+                decision = unit.cache.on_read(key)
+                if not decision.hit:
+                    unit.cache.on_read_fill(key)
+    while len(bm.mm) >= bm.mm.capacity:
+        victim = bm.mm.victim()
+        oracle_prewarm_displace(bm, victim)
+        bm.mm.remove(victim.key)
+    bm.mm.insert(key, dirty=is_write)
+
+
+def oracle_prewarm_displace(bm, victim):
+    vpart = bm.partitions[victim.key[0]]
+    if bm.storage.is_nvem_resident(vpart.name):
+        return
+    if bm._migrates_to_nvem(vpart, dirty=victim.dirty):
+        oracle_prewarm_nvem_insert(bm, victim.key)
+        return
+    if victim.dirty:
+        unit = bm.storage.unit_of(vpart.name)
+        if unit is not None and unit.cache is not None:
+            decision = unit.cache.on_write(victim.key)
+            unit.cache.on_disk_write_complete(decision.entry)
+
+
+def oracle_prewarm_nvem_insert(bm, key):
+    cache = bm.nvem_cache
+    if key in cache:
+        cache.get(key)
+        return
+    while cache.is_full:
+        victim = cache.victim()
+        cache.remove(victim.key)
+    cache.insert(key, dirty=False)
+
+
+def cache_state(policy):
+    """Entries in the policy's own order, with dirty (and CLOCK
+    reference) bits; ``None`` for an absent level."""
+    if policy is None:
+        return None
+    return [(e.key, e.dirty, getattr(e, "referenced", None))
+            for e in policy.entries()]
+
+
+def hierarchy_state(bm):
+    disk_caches = {}
+    for name, unit in sorted(bm.storage.units.items()):
+        cache = getattr(unit, "cache", None)
+        if cache is not None:
+            disk_caches[name] = (cache_state(cache.lru),
+                                 cache.stats.as_dict())
+    return (cache_state(bm.mm), cache_state(bm.nvem_cache), disk_caches)
+
+
+prewarm_refs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=1),
+              st.integers(min_value=0, max_value=8), st.booleans()),
+    min_size=1, max_size=80,
+)
+
+
+@given(
+    refs=prewarm_refs,
+    strategy=st.sampled_from([UpdateStrategy.NOFORCE,
+                              UpdateStrategy.FORCE]),
+    mode=st.sampled_from(list(NVEMCachingMode)),
+    unit_type=st.sampled_from([DiskUnitType.REGULAR,
+                               DiskUnitType.VOLATILE_CACHE,
+                               DiskUnitType.NONVOLATILE_CACHE]),
+    allocation=st.sampled_from(["db0", "db0", NVEM, MEMORY]),
+    mm_policy=st.sampled_from(["lru", "clock", "2q"]),
+    buffer_size=st.integers(min_value=1, max_value=3),
+    nvem_cache_size=st.integers(min_value=1, max_value=3),
+    disk_cache_size=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_prewarm_matches_reference_at_a_time(
+        refs, strategy, mode, unit_type, allocation, mm_policy, buffer_size,
+        nvem_cache_size, disk_cache_size):
+    def build():
+        return build_system(
+            buffer_size=buffer_size, update_strategy=strategy,
+            nvem_caching=mode,
+            nvem_cache_size=0 if mode is NVEMCachingMode.NONE
+            else nvem_cache_size,
+            allocation=allocation, unit_type=unit_type,
+            cache_size=0 if unit_type is DiskUnitType.REGULAR
+            else disk_cache_size,
+            mm_policy=PolicySpec(mm_policy),
+        )[1]
+
+    try:
+        oracle = build()
+    except ValueError:
+        assume(False)  # e.g. NVEM caching over a caching disk unit
+    batched = build()
+    for partition_index, page_no, is_write in refs:
+        oracle_prewarm_reference(oracle, partition_index, page_no, is_write)
+    batched.prewarm_references(iter(refs))
+    assert hierarchy_state(batched) == hierarchy_state(oracle)
+    # The one-reference wrapper takes the same path.
+    single = build()
+    for partition_index, page_no, is_write in refs:
+        single.prewarm_reference(partition_index, page_no, is_write)
+    assert hierarchy_state(single) == hierarchy_state(oracle)

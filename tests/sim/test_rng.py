@@ -1,6 +1,7 @@
 """Unit tests for reproducible random streams (repro.sim.rng)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import RandomStreams
 from repro.sim.rng import hash_name
@@ -82,6 +83,45 @@ def test_choice_weighted_rejects_bad_weights():
         streams.choice_weighted("c", [0.0, 0.0])
     with pytest.raises(ValueError):
         streams.choice_weighted("c", [-1.0, 2.0])
+
+
+def linear_scan_choice(rng, weights):
+    """The first index whose running sum exceeds the scaled draw."""
+    total = 0.0
+    for w in weights:
+        total += w
+    x = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return len(weights) - 1
+
+
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
+        min_size=1, max_size=12,
+    ).filter(lambda ws: sum(ws) > 0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_choice_weighted_matches_linear_scan(weights, seed):
+    """The bisect picks exactly the index of the linear scan (zero
+    weights included), draw for draw."""
+    streams = RandomStreams(seed)
+    oracle = RandomStreams(seed).stream("c")
+    for _ in range(25):
+        assert streams.choice_weighted("c", weights) == \
+            linear_scan_choice(oracle, weights)
+
+
+def test_below_draws_like_uniform_int():
+    a, b = RandomStreams(9), RandomStreams(9)
+    below = b.below("p")
+    assert [a.uniform_int("p", 5, 40) for _ in range(200)] == \
+        [5 + below(36) for _ in range(200)]
 
 
 def test_geometric_like_size_minimum():

@@ -1,6 +1,13 @@
 """Unit tests for traces: format, I/O, workload, generator."""
 
+import hashlib
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
+
+from repro.core.model import TransactionSystem
+from repro.experiments import trace_setup
 
 from repro.workload.trace import (
     Trace,
@@ -259,3 +266,74 @@ class TestTraceGenerator:
             RealWorkloadProfile(locality_sizes=(0.5, 0.5, 0.5)).validate()
         with pytest.raises(ValueError):
             RealWorkloadProfile(update_tx_fraction=1.5).validate()
+
+
+class TestGeneratedTracePins:
+    """The experiments' traces, pinned column by column: any change to
+    the generator's draws or to the columnar encoding moves a digest."""
+
+    @pytest.mark.parametrize("fast, seed, digest", [
+        (True, 42,
+         "1d7d4a57d4dcebc0d6415e5e991fd3a513ef95df0f2f23ce6677651b7dfb710f"),
+        (True, 7,
+         "8cbfbde728528a1ff48e407b0e454f05807bdfb8ae52305ed700d68230c32ade"),
+        (False, 42,
+         "53e57cc99f3025063a4bd0d36dc9b352513381bce0d0e33cc21c196d7e1b0b65"),
+        (False, 7,
+         "a9e9d4e9fd012cce053eaf86da3ea90242534feed5c07808121b5f9dcfe12a5b"),
+    ])
+    def test_trace_columns_digest(self, fast, seed, digest):
+        trace = trace_setup.trace_for.__wrapped__(fast=fast, seed=seed)
+        sha = hashlib.sha256()
+        for column in (trace.tx_types, trace.offsets, trace.file_ids,
+                       trace.pages, trace.writes):
+            sha.update(column.tobytes())
+        assert sha.hexdigest() == digest
+
+
+class TestTracePrewarm:
+    def test_prewarm_feeds_whole_transactions_up_to_budget(self):
+        class Recorder:
+            def __init__(self):
+                self.refs = []
+
+            def prewarm_references(self, refs):
+                self.refs.extend(refs)
+
+        trace = tiny_trace()  # transactions of 2, 2 and 1 references
+        expected = [(0, 1, False), (0, 2, False), (1, 3, True),
+                    (0, 1, False), (1, 4, False)]
+        for budget, count in ((0, 2), (2, 2), (3, 4), (4, 4), (5, 5),
+                              (10**6, 5)):
+            system = SimpleNamespace(bm=Recorder())
+            TraceWorkload(trace, arrival_rate=1.0).prewarm(
+                system, max_accesses=budget)
+            assert system.bm.refs == expected[:count], budget
+
+    def test_references_span_chunks(self):
+        trace = trace_setup.trace_for(fast=True)
+        lo, hi = 10, 10 + 3 * 4096 + 7
+        refs = list(trace.references(lo, hi))
+        assert len(refs) == hi - lo
+        assert refs[5000] == (int(trace.file_ids[lo + 5000]),
+                              int(trace.pages[lo + 5000]),
+                              bool(trace.writes[lo + 5000]))
+
+    def test_full_trace_prewarm_memory_stays_bounded(self):
+        """Replaying the full trace unboxes its columns a bounded chunk
+        at a time: the peak allocation is the buffers' entries plus one
+        chunk, never a whole column as Python objects (~20 MB)."""
+        trace = trace_setup.trace_for(fast=False)
+        assert trace.num_accesses > 300_000
+        config = trace_setup.trace_config(trace, "nvem", 500,
+                                          second_level=2000)
+        workload = trace_setup.trace_workload(trace)
+        system = TransactionSystem(config, workload)
+        tracemalloc.start()
+        try:
+            workload.prewarm(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(system.bm.mm) == 500
+        assert peak < 2 * 2**20
