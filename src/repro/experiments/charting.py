@@ -3,8 +3,8 @@
 The paper presents its results as x/y plots (response time over arrival
 rate or buffer size).  :func:`render_chart` draws an
 :class:`~repro.experiments.runner.ExperimentResult` as a terminal line
-chart so the figures can be eyeballed without a plotting stack — the
-only hard dependency of this package is numpy.
+chart so the figures can be eyeballed without a plotting stack: it uses
+the standard library only.
 
 Example output (Fig. 4.1 shape)::
 

@@ -8,23 +8,29 @@ or one rate per transaction type — both as in the paper).
 Storage is columnar (numpy arrays) so the million-access trace of
 §4.6 fits comfortably in memory; a line-oriented text format
 (:func:`write_trace` / :func:`read_trace`) allows interchange with real
-trace data.
+trace data.  A trace is recorded reference by reference into typed
+stdlib ``array`` columns (:class:`TraceColumns`) and handed to numpy
+once, when the :class:`Trace` is built.  numpy is imported only there
+and in the few functions that use it, so the synthetic studies, which
+never build a trace, run without loading (or installing) it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.config import CCMode, NVEMCachingMode, PartitionConfig
 from repro.core.transaction import ObjectRef, Transaction
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "Trace",
+    "TraceColumns",
     "TraceFile",
     "TraceTransaction",
     "TraceWorkload",
@@ -36,6 +42,19 @@ __all__ = [
 #: References unboxed per step when replaying the columns: bounded so a
 #: replay never holds a whole column as Python objects.
 REPLAY_CHUNK = 4096
+
+
+def _numpy():
+    """The numpy module, imported on first use by a trace."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError(
+            "trace-driven workloads need numpy (pip install numpy); the "
+            "synthetic Debit-Credit, cluster and recovery studies run "
+            "without it"
+        ) from exc
+    return numpy
 
 
 @dataclass(frozen=True)
@@ -64,57 +83,86 @@ class TraceTransaction:
         return any(w for _, _, w in self.refs)
 
 
+class TraceColumns:
+    """A trace being recorded: references are appended straight into
+    typed ``array`` columns (``'h'`` file, ``'q'`` page, ``'b'`` write)
+    and :meth:`end_transaction` closes the ones appended since the last
+    close into one transaction (``'h'`` type index, ``'q'`` end offset).
+    :meth:`to_trace` hands the columns over to a :class:`Trace`; nothing
+    may be appended after that.
+    """
+
+    __slots__ = ("type_names", "_type_index", "tx_types", "offsets",
+                 "file_ids", "pages", "writes")
+
+    def __init__(self) -> None:
+        self.type_names: List[str] = []
+        self._type_index: Dict[str, int] = {}
+        self.tx_types = array("h")
+        self.offsets = array("q", (0,))
+        self.file_ids = array("h")
+        self.pages = array("q")
+        self.writes = array("b")
+
+    def append(self, file_id: int, page: int, is_write: bool) -> None:
+        self.file_ids.append(file_id)
+        self.pages.append(page)
+        self.writes.append(is_write)
+
+    def end_transaction(self, type_name: str) -> None:
+        """Close the references appended since the last close into one
+        transaction of ``type_name`` (types are numbered by first use)."""
+        index = self._type_index.get(type_name)
+        if index is None:
+            index = self._type_index[type_name] = len(self.type_names)
+            self.type_names.append(type_name)
+        self.tx_types.append(index)
+        self.offsets.append(len(self.file_ids))
+
+    def to_trace(self, files: List[TraceFile]) -> "Trace":
+        return Trace(files, self.type_names, self.tx_types, self.offsets,
+                     self.file_ids, self.pages, self.writes)
+
+
 class Trace:
-    """Columnar trace: flat reference arrays + transaction boundaries."""
+    """Columnar trace: flat reference arrays + transaction boundaries.
+
+    The columns may be given as anything numpy converts (numpy arrays,
+    stdlib ``array`` columns, sequences); they are held as numpy arrays
+    of fixed dtypes: ``int16`` types and file ids, ``int64`` offsets and
+    pages, ``bool`` writes.  A column whose buffer already has its dtype
+    is viewed, not copied.
+    """
 
     def __init__(self, files: List[TraceFile], type_names: List[str],
-                 tx_types: np.ndarray, offsets: np.ndarray,
-                 file_ids: np.ndarray, pages: np.ndarray,
-                 writes: np.ndarray):
-        if len(offsets) != len(tx_types) + 1:
-            raise ValueError("offsets must have len(tx_types) + 1 entries")
-        if not (len(file_ids) == len(pages) == len(writes)):
-            raise ValueError("reference columns must have equal length")
-        if len(offsets) and offsets[-1] != len(file_ids):
-            raise ValueError("last offset must equal the reference count")
+                 tx_types: Sequence[int], offsets: Sequence[int],
+                 file_ids: Sequence[int], pages: Sequence[int],
+                 writes: Sequence[bool]):
+        numpy = _numpy()
         self.files = files
         self.type_names = type_names
-        self.tx_types = tx_types
-        self.offsets = offsets
-        self.file_ids = file_ids
-        self.pages = pages
-        self.writes = writes
+        self.tx_types: np.ndarray = numpy.asarray(tx_types, dtype=numpy.int16)
+        self.offsets: np.ndarray = numpy.asarray(offsets, dtype=numpy.int64)
+        self.file_ids: np.ndarray = numpy.asarray(file_ids, dtype=numpy.int16)
+        self.pages: np.ndarray = numpy.asarray(pages, dtype=numpy.int64)
+        self.writes: np.ndarray = numpy.asarray(writes, dtype=bool)
+        if len(self.offsets) != len(self.tx_types) + 1:
+            raise ValueError("offsets must have len(tx_types) + 1 entries")
+        if not (len(self.file_ids) == len(self.pages) == len(self.writes)):
+            raise ValueError("reference columns must have equal length")
+        if len(self.offsets) and self.offsets[-1] != len(self.file_ids):
+            raise ValueError("last offset must equal the reference count")
 
     # -- construction ------------------------------------------------------
     @classmethod
     def from_transactions(cls, files: List[TraceFile],
                           transactions: Sequence[TraceTransaction]) -> "Trace":
-        type_names: List[str] = []
-        type_index: Dict[str, int] = {}
+        columns = TraceColumns()
         for tx in transactions:
-            if tx.type_name not in type_index:
-                type_index[tx.type_name] = len(type_names)
-                type_names.append(tx.type_name)
-        count = len(transactions)
-        tx_types = np.fromiter((type_index[tx.type_name]
-                                for tx in transactions),
-                               dtype=np.int16, count=count)
-        offsets = np.fromiter(accumulate((len(tx.refs)
-                                          for tx in transactions),
-                                         initial=0),
-                              dtype=np.int64, count=count + 1)
-        total = int(offsets[-1])
-
-        def column(field: int, dtype) -> np.ndarray:
-            refs = chain.from_iterable(tx.refs for tx in transactions)
-            return np.fromiter(map(itemgetter(field), refs), dtype=dtype,
-                               count=total)
-
-        file_ids = column(0, np.int16)
-        pages = column(1, np.int64)
-        writes = column(2, bool)
-        return cls(files, type_names, tx_types, offsets, file_ids, pages,
-                   writes)
+            for file_id, page, is_write in tx.refs:
+                columns.append(file_id, page, is_write)
+            columns.end_transaction(tx.type_name)
+        return columns.to_trace(files)
 
     def fingerprint_data(self) -> dict:
         """Point-cache identity: file table, type table and content
@@ -165,7 +213,8 @@ class Trace:
     def write_fraction(self) -> float:
         if not len(self.writes):
             return 0.0
-        return float(np.count_nonzero(self.writes)) / len(self.writes)
+        return (float(_numpy().count_nonzero(self.writes))
+                / len(self.writes))
 
     @property
     def update_tx_fraction(self) -> float:
@@ -174,20 +223,21 @@ class Trace:
         updates = 0
         for i in range(len(self)):
             lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-            if np.any(self.writes[lo:hi]):
+            if self.writes[lo:hi].any():
                 updates += 1
         return updates / len(self)
 
     @property
     def distinct_pages(self) -> int:
-        combined = self.file_ids.astype(np.int64) * (1 << 40) + self.pages
-        return int(np.unique(combined).size)
+        numpy = _numpy()
+        combined = self.file_ids.astype(numpy.int64) * (1 << 40) + self.pages
+        return int(numpy.unique(combined).size)
 
     @property
     def largest_tx(self) -> int:
         if len(self) == 0:
             return 0
-        return int(np.max(np.diff(self.offsets)))
+        return int(_numpy().diff(self.offsets).max())
 
     @property
     def mean_tx_size(self) -> float:
@@ -212,15 +262,8 @@ def write_trace(trace: Trace, path: str) -> None:
 def read_trace(path: str) -> Trace:
     """Parse the interchange format back into a :class:`Trace`."""
     files: List[TraceFile] = []
-    transactions: List[TraceTransaction] = []
+    columns = TraceColumns()
     current_type: Optional[str] = None
-    current_refs: List[Tuple[int, int, bool]] = []
-
-    def flush() -> None:
-        nonlocal current_refs
-        if current_type is not None:
-            transactions.append(TraceTransaction(current_type, current_refs))
-            current_refs = []
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -231,7 +274,8 @@ def read_trace(path: str) -> Trace:
             if parts[0] == "F" and len(parts) == 3:
                 files.append(TraceFile(parts[1], int(parts[2])))
             elif parts[0] == "T" and len(parts) == 2:
-                flush()
+                if current_type is not None:
+                    columns.end_transaction(current_type)
                 current_type = parts[1]
             elif parts[0] == "A" and len(parts) == 4:
                 if current_type is None:
@@ -241,13 +285,12 @@ def read_trace(path: str) -> Trace:
                 mode = parts[3]
                 if mode not in ("R", "W"):
                     raise ValueError(f"{path}:{lineno}: bad mode {mode!r}")
-                current_refs.append(
-                    (int(parts[1]), int(parts[2]), mode == "W")
-                )
+                columns.append(int(parts[1]), int(parts[2]), mode == "W")
             else:
                 raise ValueError(f"{path}:{lineno}: unparseable line {line!r}")
-    flush()
-    return Trace.from_transactions(files, transactions)
+    if current_type is not None:
+        columns.end_transaction(current_type)
+    return columns.to_trace(files)
 
 
 def build_trace_partitions(
@@ -298,6 +341,8 @@ class TraceWorkload:
         self.loop = loop
         self.submitted = 0
         self._tx_counter = 0
+        #: Statistics tag of each file's references (bound in start()).
+        self._tags: List[str] = []
 
     def fingerprint_data(self) -> dict:
         """Point-cache identity: replay parameters plus the trace
@@ -310,14 +355,19 @@ class TraceWorkload:
             "loop": self.loop,
         }
 
-    def _to_transaction(self, ttx: TraceTransaction) -> Transaction:
+    def _to_transaction(self, index: int) -> Transaction:
+        trace = self.trace
+        tags = self._tags
+        lo, hi = trace.offsets[index:index + 2].tolist()
         refs = [
-            ObjectRef(file_id, page, page, is_write,
-                      tag=self.trace.files[file_id].name)
-            for file_id, page, is_write in ttx.refs
+            ObjectRef(file_id, page, page, is_write, tags[file_id])
+            for file_id, page, is_write in zip(
+                trace.file_ids[lo:hi].tolist(), trace.pages[lo:hi].tolist(),
+                trace.writes[lo:hi].tolist())
         ]
         self._tx_counter += 1
-        return Transaction(self._tx_counter, ttx.type_name, refs)
+        return Transaction(self._tx_counter,
+                           trace.type_names[trace.tx_types[index]], refs)
 
     def _replay(self, system, indices: List[int], rate: float,
                 stream: str):
@@ -332,10 +382,10 @@ class TraceWorkload:
                     return
                 position = 0
             yield env.timeout(system.streams.exponential(stream, mean_gap))
-            ttx = self.trace.transaction(indices[position])
+            tx = self._to_transaction(indices[position])
             position += 1
             self.submitted += 1
-            system.tm.submit(self._to_transaction(ttx))
+            system.tm.submit(tx)
 
     def prewarm(self, system, max_accesses: int = 120_000) -> None:
         """Warm the cache levels by silently replaying trace references:
@@ -344,11 +394,12 @@ class TraceWorkload:
         offsets = self.trace.offsets
         start = int(offsets[0])
         # First transaction whose end reaches the budget (else the end).
-        last = int(np.searchsorted(offsets[1:], start + max_accesses))
+        last = int(_numpy().searchsorted(offsets[1:], start + max_accesses))
         stop = int(offsets[min(last + 1, len(offsets) - 1)])
         system.bm.prewarm_references(self.trace.references(start, stop))
 
     def start(self, system) -> None:
+        self._tags = [file.name for file in self.trace.files]
         if self.arrival_rate is not None:
             indices = list(range(len(self.trace)))
             system.env.process(

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 from repro.sim.rng import RandomStreams, cumulative_weights
-from repro.workload.trace import Trace, TraceFile, TraceTransaction
+from repro.workload.trace import Trace, TraceColumns, TraceFile
 
 __all__ = ["RealWorkloadProfile", "generate_trace"]
 
@@ -210,7 +211,15 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
         low, span = write_ranges[file_idx]
         return low + wpage_below[file_idx](span)
 
-    transactions: List[TraceTransaction] = []
+    # References go straight into the trace's columns.  Reads are the
+    # common case (1.6% of accesses write), so each transaction's write
+    # flags are appended zeroed in one step and its writes set in place.
+    columns = TraceColumns()
+    file_ids = columns.file_ids
+    pages = columns.pages
+    writes = columns.writes
+    file_append = file_ids.append
+    page_append = pages.append
 
     # Place the ad-hoc queries at deterministic positions in the stream.
     adhoc_positions = set()
@@ -225,14 +234,14 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
             # Ad-hoc query: long sequential scan of the largest file.
             scan_file = 0
             size = profile.adhoc_accesses
+            scan_pages = file_sizes[scan_file]
             start = streams.uniform_int(
-                "tg-adhoc-start", 0, max(0, file_sizes[scan_file] - 1)
+                "tg-adhoc-start", 0, max(0, scan_pages - 1)
             )
-            refs = [
-                (scan_file, (start + j) % file_sizes[scan_file], False)
-                for j in range(size)
-            ]
-            transactions.append(TraceTransaction("adhoc-query", refs))
+            file_ids.extend(repeat(scan_file, size))
+            pages.extend((start + j) % scan_pages for j in range(size))
+            writes.frombytes(bytes(size))
+            columns.end_transaction("adhoc-query")
             continue
         type_idx = bisect_right(type_cum, type_random() * type_cum[-1],
                                 0, len(type_cum) - 1)
@@ -243,32 +252,34 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
         )
         may_write = is_update and write_prob > 0.0
         always_write = write_prob >= 1.0
-        refs = []
-        append = refs.append
         affinity = type_files[type_idx]
         file_cum = file_cums[type_idx]
         file_total = file_cum[-1]
         file_last = len(file_cum) - 1
         file_random = file_randoms[type_idx]
+        first = len(pages)
+        writes.frombytes(bytes(size))
         wrote = False
-        for _ in range(size):
+        for j in range(first, first + size):
             file_idx = affinity[
                 bisect_right(file_cum, file_random() * file_total,
                              0, file_last)
             ]
+            file_append(file_idx)
             if may_write and (always_write or write_random() < write_prob):
                 low, span = write_ranges[file_idx]
-                append((file_idx, low + wpage_below[file_idx](span), True))
+                page_append(low + wpage_below[file_idx](span))
+                writes[j] = 1
                 wrote = True
             else:
                 sub = bisect_right(sub_cum, sub_random() * sub_total,
                                    0, sub_last)
                 low, span = page_ranges[file_idx][sub]
-                append((file_idx, low + page_below[file_idx](span), False))
+                page_append(low + page_below[file_idx](span))
         if is_update and not wrote:
             # Guarantee update transactions write at least once.
-            file_idx, page, _ = refs[-1]
-            refs[-1] = (file_idx, pick_write_page(file_idx), True)
-        transactions.append(TraceTransaction(f"type{type_idx:02d}", refs))
+            pages[-1] = pick_write_page(file_ids[-1])
+            writes[-1] = 1
+        columns.end_transaction(f"type{type_idx:02d}")
 
-    return Trace.from_transactions(files, transactions)
+    return columns.to_trace(files)
